@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import re
 import sys
 import time
@@ -370,6 +371,22 @@ def validate_experiment(doc: dict) -> list[str]:
 
 # ---- artifact writers ----
 
+def _finite_or_none(value):
+    """The value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+def _strict_json(data, **kwargs) -> str:
+    """Strict JSON text (sorted keys): a non-finite float is written as null."""
+    return json.dumps(_finite_or_none(data), sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _g17(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -414,7 +431,8 @@ def write_trace_csv(trace: SimulationTrace, path: Path) -> None:
 def write_plotdata(trace: SimulationTrace, path: Path, timing_name: str) -> None:
     """Plot-ready series: costs vs t, state/estimate/error norms vs t, the
     active-architecture rasters, and per-step change counts.  Compute times
-    sit in the timing sidecar (wall-clock, excluded from byte identity)."""
+    sit in the timing sidecar (wall-clock, excluded from byte identity).
+    Non-finite values, as a diverged rollout leaves them, are written as null."""
     system = trace.config.system
     M, L = system.num_actuators, system.num_sensors
     entries = trace.ledger.entries
@@ -440,7 +458,7 @@ def write_plotdata(trace: SimulationTrace, path: Path, timing_name: str) -> None
         "change_counts": trace.per_step_changes(),
         "compute_time_file": timing_name,
     }
-    path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+    path.write_text(_strict_json(data, separators=(",", ":")) + "\n")
 
 
 def write_timing(trace: SimulationTrace, path: Path, started: str, finished: str,
@@ -512,8 +530,7 @@ def run_experiment(exp: ExperimentConfig, output_dir: str | None = None,
     summary = {"schema_version": SCHEMA_VERSION, "experiment": exp.name,
                "num_runs": len(records), "runs": records}
     if exp.emit["summary"]:
-        (out / f"{exp.name}.summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        (out / f"{exp.name}.summary.json").write_text(_strict_json(summary, indent=2) + "\n")
     return summary
 
 

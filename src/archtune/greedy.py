@@ -425,12 +425,13 @@ def greedy_actuator_state_feedback(system: LinearNetworkSystem, x_t: np.ndarray,
 
     Grows the actuator set one element at a time, scoring each candidate set
     by x' P x with P its infinite-horizon cost matrix (Diverged counts as
-    +inf).  Ties keep the lowest index; when every candidate diverges the
-    lowest index is taken anyway (the set may become stabilizable later).
-    The returned gain is K = -(R + B'PB)^{-1} B'PA, i.e. u = K x directly;
-    it is zero if even the final set has no finite solution.  R is the
-    pool-sized input cost (M x M) or a scalar rate; dare_cache (optional)
-    memoizes P across calls keyed by the actuator set.
+    +inf).  The uncached candidate sets of a round are solved together in
+    one stacked solve_dare call.  Ties keep the lowest index; when every
+    candidate diverges the lowest index is taken anyway (the set may become
+    stabilizable later).  The returned gain is K = -(R + B'PB)^{-1} B'PA,
+    i.e. u = K x directly; it is zero if even the final set has no finite
+    solution.  R is the pool-sized input cost (M x M) or a scalar rate;
+    dare_cache (optional) memoizes P across calls keyed by the actuator set.
     """
     M = system.num_actuators
     if cardinality > M:
@@ -442,32 +443,34 @@ def greedy_actuator_state_feedback(system: LinearNetworkSystem, x_t: np.ndarray,
         R = float(R) * np.eye(M)
     cache = dare_cache if dare_cache is not None else {}
 
-    def solve_for(indices: tuple[int, ...]):
-        hit = cache.get(indices)
-        if hit is None:
-            B = system.actuator_pool[:, list(indices)]
-            Rblk = R[np.ix_(list(indices), list(indices))]
-            hit = solve_dare(A, B, Q, Rblk)
-            cache[indices] = hit
-        return hit
+    def solve_missing(candidates: list[tuple[int, ...]]) -> None:
+        """Solve every uncached candidate set of one round in one stacked call."""
+        missing = [c for c in candidates if c not in cache]
+        if missing:
+            idx = np.array(missing, dtype=int).reshape(len(missing), -1)
+            Bs = np.moveaxis(system.actuator_pool[:, idx], 1, 0)
+            Rs = R[idx[:, :, None], idx[:, None, :]]
+            cache.update(zip(missing, solve_dare(A, Bs, Q, Rs)))
 
     selected: list[int] = []
     while len(selected) < cardinality:
+        pool = [s for s in range(M) if s not in selected]
+        candidates = [tuple(sorted(selected + [s])) for s in pool]
+        solve_missing(candidates)
         best_i, best_cost = None, math.inf
-        for s in range(M):
-            if s in selected:
-                continue
-            P = solve_for(tuple(sorted(selected + [s])))
+        for s, indices in zip(pool, candidates):
+            P = cache[indices]
             cost = math.inf if isinstance(P, Diverged) else float(x_t @ P @ x_t)
             if cost < best_cost:
                 best_i, best_cost = s, cost
         if best_i is None:                      # every candidate diverged
-            best_i = min(s for s in range(M) if s not in selected)
+            best_i = pool[0]
         selected.append(best_i)
 
     arch = ArchitectureSet(actuators=selected, sensors=())
     indices = arch.actuators
-    P = solve_for(indices)
+    solve_missing([indices])
+    P = cache[indices]
     n = system.n
     B = system.actuator_pool[:, list(indices)]
     if isinstance(P, Diverged):

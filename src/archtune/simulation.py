@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lin import psd_factor
+from ._lin import check_pd, psd_factor
 from .costs import (
     CostLedger,
     CostParameters,
@@ -43,12 +43,10 @@ from .network import (
 )
 from .synthesis import (
     Diverged,
-    _dare_fixed_point,
     DARE_GUARD,
-    DARE_MAX_ITER,
-    DARE_TOL,
     estimator_update,
     kalman_step,
+    last_riccati_iterate,
     solve_dare,
 )
 
@@ -116,6 +114,12 @@ class SimulationConfig:
         if self.feedback == "output":
             if self.constraints is None or self.params is None:
                 raise ValueError("output feedback needs constraints and cost parameters")
+            if self.system.v_var == 0:
+                # noiseless sensors leave C E C' as the whole innovation
+                # covariance, so E must stay positive definite at every step
+                if self.E0_scale == 0:
+                    raise ValueError("output feedback with v_var 0 needs E0_scale > 0")
+                check_pd(self.system.W, "W (output feedback with v_var 0)")
         else:
             if self.mode == "fixed" and self.initial_arch is None:
                 raise ValueError("fixed state feedback needs an explicit architecture")
@@ -190,6 +194,18 @@ def _zeros_params(params: CostParameters | None, arch: ArchitectureSet,
     return running_cost(arch, params), switching_cost(arch, arch_prev, params)
 
 
+def _divergence_warnings(x: np.ndarray) -> list[str]:
+    """One warning for the first state whose norm is not finite or passes
+    DARE_GUARD; none for a rollout that stays within the guard."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~(norms <= DARE_GUARD))
+    if bad.size == 0:
+        return []
+    t = int(bad[0])
+    return [f"state diverged at step {t}: |x| = {norms[t]:.3e} is past {DARE_GUARD:.0e}"]
+
+
 def _fixed_state_gain(system: LinearNetworkSystem, arch: ArchitectureSet,
                       Q: np.ndarray, R, policy: str,
                       warnings: list[str]):
@@ -204,8 +220,7 @@ def _fixed_state_gain(system: LinearNetworkSystem, arch: ArchitectureSet,
                         f"solution; using {policy} fallback gain")
         if policy == "zero":
             return np.zeros((B.shape[1], system.n)), math.inf
-        P_last, _ = _dare_fixed_point(system.A, B, Q, Rb, DARE_TOL, DARE_MAX_ITER,
-                                      DARE_GUARD)
+        P_last = last_riccati_iterate(system.A, B, Q, Rb)
         S = Rb + B.T @ P_last @ B
         return -np.linalg.solve(S, B.T @ P_last @ system.A), math.inf
     S = Rb + B.T @ P @ B
@@ -293,6 +308,7 @@ def simulate_lqr(config: SimulationConfig) -> SimulationTrace:
         archs.append(arch_t)
         arch_prev = arch_t
 
+    warnings += _divergence_warnings(x)
     return SimulationTrace(config=config, x=x, x_hat=x.copy(), inputs=inputs,
                            archs=archs, ledger=ledger, compute_time=compute_time,
                            warnings=warnings)
@@ -372,6 +388,7 @@ def simulate_lqg(config: SimulationConfig) -> SimulationTrace:
         archs.append(arch_t)
         arch_prev = arch_t
 
+    warnings += _divergence_warnings(x)
     return SimulationTrace(config=config, x=x, x_hat=x_hat, inputs=inputs,
                            archs=archs, ledger=ledger, compute_time=compute_time,
                            warnings=warnings)

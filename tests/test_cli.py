@@ -149,6 +149,22 @@ class TestValidateExperiment:
         assert diags == ["runs: must be a list"]
 
 
+    def test_noiseless_output_feedback_needs_definite_covariances(self):
+        # without these rules validate passed and the run died in kalman_step
+        doc = lqg_doc()
+        doc["runs"][0].update(
+            system={"random_network": {"n": 6, "eig_band": 0.1, "seed": 1,
+                                       "W_scale": 0.0, "v_var": 0.0}},
+            costs={"horizon": 4}, E0_scale=0.0)
+        diags = validate_experiment(doc)
+        assert len(diags) == 1 and "runs[0]" in diags[0] and "E0_scale" in diags[0]
+        doc["runs"][0]["E0_scale"] = 1.0
+        diags = validate_experiment(doc)
+        assert len(diags) == 1 and "W" in diags[0] and "positive definite" in diags[0]
+        doc["runs"][0]["system"]["random_network"]["W_scale"] = 0.1
+        assert validate_experiment(doc) == []
+
+
 class TestBuildSimulationConfig:
     def test_seed_composition(self):
         exp = parse_experiment(minimal_doc(base_seed=5))
@@ -255,6 +271,40 @@ class TestArtifacts:
         assert len(data["error_norm"]) == T + 1
         assert all(len(row) == 2 for row in data["actuator_raster"])
         assert data["compute_time_file"] == "tuned.timing.json"
+
+
+class TestStrictJson:
+    @staticmethod
+    def _strict_load(path):
+        def refuse(name):
+            raise ValueError(f"non-finite constant {name}")
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_diverged_run_writes_null_and_warns(self, tmp_path):
+        # actuator 1 leaves the first node, growing 1e10-fold a step, unreached
+        doc = minimal_doc()
+        doc["runs"][0].update(T_sim=40, system={"A": [[1e10, 0.0], [0.0, 0.5]], "W": 0.01},
+                              initial_arch={"actuators": [1], "sensors": []})
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_experiment(parse_experiment(doc), output_dir=str(tmp_path))
+        summary = self._strict_load(tmp_path / "mini.summary.json")
+        rec = summary["runs"][0]
+        assert rec["final_cumulative_true"] is None
+        assert any(w.startswith("state diverged at step") for w in rec["warnings"])
+        plot = self._strict_load(tmp_path / "run0.plotdata.json")
+        assert plot["state_norm"][0] is not None and plot["state_norm"][-1] is None
+
+    def test_finite_artifacts_unchanged_by_strict_writer(self, tmp_path):
+        exp = parse_experiment(lqg_doc())
+        run_experiment(exp, output_dir=str(tmp_path))
+        for name in ("tuned.plotdata.json", "lqgmini.summary.json"):
+            text = (tmp_path / name).read_text()
+            data = json.loads(text)
+            if name.endswith("plotdata.json"):
+                expected = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            else:
+                expected = json.dumps(data, sort_keys=True, indent=2)
+            assert text == expected + "\n"
 
 
 class TestCommandLine:

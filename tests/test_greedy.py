@@ -25,8 +25,9 @@ from archtune.greedy import (
     rejection_choices,
     selection_choices,
 )
-from archtune.network import satisfies_constraints
-from archtune.synthesis import lqr_backward, solve_dare
+from archtune.network import random_network_localized, satisfies_constraints
+from archtune.simulation import SimulationConfig, simulate
+from archtune.synthesis import Diverged, lqr_backward, solve_dare
 
 from conftest import canonical_system, random_psd
 
@@ -370,3 +371,48 @@ class TestGreedyActuatorStateFeedback:
         assert arch.actuators == (0, 1)
         A_cl = sys_.A + np.eye(2) @ K
         assert np.max(np.abs(np.linalg.eigvals(A_cl))) < 1.0
+
+
+class TestGreedyReplay:
+    """The stacked-solve selector against an oracle that prices every
+    candidate set with scipy's solver, at each state of a recorded run."""
+
+    def test_commits_the_oracle_set_at_every_state(self):
+        # the demo network: every singleton and pair passes the direct
+        # solver's residual check, so the oracle is defined everywhere
+        n = 20
+        system = random_network_localized(
+            n=n, num_unstable=2, unstable_band=(1.2, 1.4), stable_band=(0.2, 0.8),
+            seed=13, localization=0.2, exclude_nodes=(0, 1), W=1e-4 * np.eye(n))
+        Q, R = np.eye(n), np.eye(n)
+        trace = simulate(SimulationConfig(system=system, mode="self_tuning",
+                                          feedback="state", T_sim=40, seed=5,
+                                          x0_std=3.0, cardinality=2))
+        oracle = {}
+        for k in (1, 2):
+            for c in itertools.combinations(range(n), k):
+                idx = list(c)
+                oracle[c] = solve_dare(system.A, system.actuator_pool[:, idx], Q,
+                                       R[np.ix_(idx, idx)], method="direct")
+
+        def closest_call(x):
+            """Smallest relative gap between the two best x'Px of any round
+            of the oracle's greedy run from x."""
+            selected, gap = [], math.inf
+            while len(selected) < 2:
+                costs = sorted((math.inf if isinstance(P, Diverged) else float(x @ P @ x), s)
+                               for s in range(n) if s not in selected
+                               for P in [oracle[tuple(sorted(selected + [s]))]])
+                gap = min(gap, (costs[1][0] - costs[0][0]) / abs(costs[0][0]))
+                selected.append(costs[0][1])
+            return gap
+
+        cache: dict = {}
+        for x in trace.x:
+            arch, K, _ = greedy_actuator_state_feedback(system, x, Q, R, 2, dare_cache=cache)
+            ref_arch, ref_K, _ = greedy_actuator_state_feedback(system, x, Q, R, 2,
+                                                                dare_cache=dict(oracle))
+            if arch != ref_arch:
+                assert closest_call(x) < 1e-8
+                continue
+            assert np.allclose(K, ref_K, rtol=1e-6, atol=1e-9)

@@ -110,6 +110,19 @@ class TestConfigValidation:
                              initial_arch=ArchitectureSet((0, 1), (0,)),
                              constraints=cons)
 
+    def test_noiseless_sensors_need_definite_covariances(self):
+        base = lqg_config("fixed", initial_arch=ArchitectureSet((0,), (0,)))
+        noiseless = canonical_system(base.system.A, W=np.zeros((2, 2)), v_var=0.0)
+        common = dict(mode="fixed", feedback="output", T_sim=5, seed=0,
+                      params=base.params, constraints=base.constraints)
+        with pytest.raises(ValueError, match="E0_scale"):
+            SimulationConfig(system=noiseless, E0_scale=0.0, **common)
+        with pytest.raises(ValueError, match="positive definite"):
+            SimulationConfig(system=noiseless, E0_scale=1.0, **common)
+        ok = canonical_system(base.system.A, W=0.05 * np.eye(2), v_var=0.0)
+        tr = simulate(SimulationConfig(system=ok, E0_scale=1.0, **common))
+        assert np.all(np.isfinite(tr.x_hat))
+
     def test_dispatch_guards(self):
         cfg = lqr_fixed_config(ArchitectureSet((0,), ()))
         with pytest.raises(ValueError):
@@ -276,6 +289,23 @@ class TestDivergedPolicy:
         tr = simulate(cfg)
         assert tr.warnings
         assert np.all(np.isfinite(tr.x))
+
+
+class TestDivergenceWarning:
+    def test_one_warning_when_the_state_passes_the_guard(self):
+        # actuator 1 leaves the first node, growing tenfold a step, unreached
+        cfg = lqr_fixed_config(ArchitectureSet((1,), ()), A=np.diag([10.0, 0.5]),
+                               T_sim=20)
+        tr = simulate(cfg)
+        diverged = [w for w in tr.warnings if w.startswith("state diverged")]
+        first = int(np.argmax(np.linalg.norm(tr.x, axis=1) > 1e12))
+        assert diverged == [f"state diverged at step {first}: |x| = "
+                            f"{np.linalg.norm(tr.x[first]):.3e} is past 1e+12"]
+
+    def test_finite_runs_carry_no_warning(self):
+        tr = simulate(lqr_fixed_config(ArchitectureSet((0, 1), ()), T_sim=30))
+        assert tr.warnings == []
+        assert simulate(lqg_config("self_tuning", T_sim=10)).warnings == []
 
 
 class TestSelfTuningLqr:

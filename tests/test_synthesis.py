@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from archtune import (
     DIVERGED,
@@ -12,8 +13,15 @@ from archtune import (
     lqr_backward,
     riccati_step,
     solve_dare,
+    synthesis,
 )
-from archtune.synthesis import Diverged, estimator_update
+from archtune.synthesis import (
+    DARE_RESIDUAL_TOL,
+    Diverged,
+    _dare_residuals,
+    estimator_update,
+    last_riccati_iterate,
+)
 
 from conftest import canonical_system, random_psd, stable_matrix
 
@@ -187,6 +195,53 @@ class TestSolveDare:
             Pa = solve_dare(A, B, Q, R, method="auto")
             Pi = solve_dare(A, B, Q, R, method="iterative")
             assert np.allclose(Pa, Pi, rtol=1e-7, atol=1e-7)
+
+
+class TestResidualAcceptance:
+    """A scipy answer off by about 1e-5 relative is no longer accepted."""
+
+    @staticmethod
+    def _perturbed_scipy(monkeypatch):
+        exact = scipy.linalg.solve_discrete_are
+
+        def off(A, B, Q, R):
+            return exact(A, B, Q, R) * (1.0 + 1e-5)
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", off)
+
+    def test_residual_of_the_perturbed_answer(self):
+        P = scipy.linalg.solve_discrete_are(_s(2), _s(1), _s(1), _s(1)) * (1.0 + 1e-5)
+        res = _dare_residuals(_s(2), _s(1)[None], _s(1), _s(1)[None], P[None])[0]
+        assert DARE_RESIDUAL_TOL < res < 1e-4         # accepted before the tightening
+
+    def test_direct_raises(self, monkeypatch):
+        self._perturbed_scipy(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            solve_dare(_s(2), _s(1), _s(1), _s(1), method="direct")
+
+    def test_auto_falls_through_to_value_iteration(self, monkeypatch):
+        self._perturbed_scipy(monkeypatch)
+        monkeypatch.setattr(synthesis, "SDA_MAX_ITER", 0)   # doubling settles nothing
+        P = solve_dare(_s(2), _s(1), _s(1), _s(1))
+        assert np.isclose(P[0, 0], 2 + math.sqrt(5), rtol=1e-10)
+
+
+class TestLastRiccatiIterate:
+    def test_is_the_last_value_iterate_below_the_guard(self):
+        # the first node is unstable and unreached: the iteration diverges
+        A, B, Q, R = np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]), np.eye(2), _s(1)
+        assert solve_dare(A, B, Q, R) is DIVERGED
+        P = Q
+        while True:
+            _, P_next = riccati_step(A, B, Q, R, P, check=False)
+            if np.linalg.norm(P_next, "fro") > synthesis.DARE_GUARD:
+                break
+            P = P_next
+        assert np.array_equal(last_riccati_iterate(A, B, Q, R), P)
+
+    def test_converged_iterate_is_the_solution(self):
+        P = last_riccati_iterate(_s(2), _s(1), _s(1), _s(1))
+        assert np.isclose(P[0, 0], 2 + math.sqrt(5), atol=1e-8)
 
 
 class TestKalman:
