@@ -1,4 +1,8 @@
-"""Small shared linear-algebra helpers (symmetry, PSD checks, factors)."""
+"""Small shared linear-algebra helpers (symmetry, PSD checks, factors).
+
+Transposes, symmetrization and the symmetry and PSD checks act on the last
+two axes, so each takes one matrix or a stack of them.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +11,24 @@ import numpy as np
 SYM_TOL = 1e-9
 
 
+def mT(M: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (M.T for a matrix)."""
+    return np.swapaxes(M, -1, -2)
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Return the symmetric part (M + M.T)/2."""
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + mT(M))
 
 
 def check_symmetric(M: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in (2, 3) or M.shape[-2] != M.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if M.size and np.max(np.abs(M - M.T)) > tol * max(1.0, float(np.max(np.abs(M)))):
-        raise ValueError(f"{name} is not symmetric within tolerance")
+    if M.size:
+        asym = np.max(np.abs(M - mT(M)), axis=(-2, -1))
+        scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
+        if np.any(asym > tol * scale):
+            raise ValueError(f"{name} is not symmetric within tolerance")
 
 
 def check_psd(M: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
@@ -25,8 +37,10 @@ def check_psd(M: np.ndarray, name: str, tol: float = SYM_TOL) -> None:
     if M.size == 0:
         return
     w = np.linalg.eigvalsh(symmetrize(M))
-    if w[0] < -tol * max(1.0, w[-1]):
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+    low = w[..., 0]
+    if np.any(low < -tol * np.maximum(1.0, w[..., -1])):
+        raise ValueError(f"{name} is not positive semidefinite "
+                         f"(min eigenvalue {np.min(low):.3e})")
 
 
 def check_pd(M: np.ndarray, name: str, tol: float = SYM_TOL) -> None:

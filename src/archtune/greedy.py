@@ -18,11 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._lin import check_psd
-from .costs import (CostParameters, LedgerEntry, active_input_cost,
-                    running_cost, switching_cost)
+from ._lin import check_psd, mT
+from .costs import CostParameters, LedgerEntry, running_cost, switching_cost
 from .network import (ArchitectureConstraints, ArchitectureSet, LinearNetworkSystem,
-                      build_input_matrix, build_output_matrix, satisfies_constraints)
+                      satisfies_constraints)
 from .synthesis import (Diverged, GainSchedule, kalman_forward, lqr_backward,
                         solve_dare)
 
@@ -230,11 +229,14 @@ def rejection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraint
 
 
 def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
-    """Metric closure for greedy_swap with per-kind gain caches.
+    """Metric for greedy_swap: prices a whole choice list at once.
 
     The LQR schedule depends only on the actuator set and the Kalman
-    schedule only on the sensor set, so each is cached for the duration of
-    one swap call; full evaluations are memoized per architecture.
+    schedule only on the sensor set.  Before a list is priced, its uncached
+    actuator sets are grouped by size and each group runs one stacked
+    lqr_backward; its uncached sensor sets likewise run one stacked
+    kalman_forward per size.  Both caches, and the priced architectures,
+    last for the duration of one swap call.
 
     The predicted cost is computed in its completion-of-squares form
     J = x_hat' P_0 x_hat + sum tr(P_{tau+1} W)
@@ -243,83 +245,105 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
     (Sig_0 = 0, stepped by the closed estimator loop).  This is
     algebraically identical to pricing the augmented closed loop from the
     doubled estimate, and splits the work into a per-actuator-set part, a
-    per-sensor-set part, and a cheap cross term per evaluation.
+    per-sensor-set part, and a cheap cross term per architecture.
+
+    Returns evaluate, mapping a list of architectures to their
+    (total, ledger entry) pairs, and schedule, the gain schedule of a priced
+    architecture.
     """
     A = system.A
     W = system.W
+    v_var = system.v_var
     T = params.horizon
     lqr_cache: dict[tuple, tuple] = {}
     kal_cache: dict[tuple, tuple] = {}
     full_cache: dict[tuple, tuple] = {}
 
-    def evaluate(arch: ArchitectureSet):
-        key = (arch.actuators, arch.sensors)
-        hit = full_cache.get(key)
-        if hit is not None:
-            return hit
-        lqr_part = lqr_cache.get(arch.actuators)
-        if lqr_part is None:
-            B = build_input_matrix(system, arch)
-            R1a = active_input_cost(params, arch)
-            sched = lqr_backward(A, B, params.state_cost, R1a,
-                                 params.terminal_cost, T)
-            S_seq = []
-            const = 0.0
-            for tau in range(T):
-                P_next = sched.P[tau + 1]
-                S_seq.append(R1a + B.T @ P_next @ B)
-                const += float(np.sum(P_next * W))
-            lqr_part = (sched.K, sched.P, S_seq, const)
-            lqr_cache[arch.actuators] = lqr_part
-        kal_part = kal_cache.get(arch.sensors)
-        if kal_part is None:
-            C = build_output_matrix(system, arch)
-            V = system.v_var * np.eye(C.shape[0])
-            sched = kalman_forward(A, C, system.W, V, E_t, T)
-            # Horizon-injected error covariance: Sig_0 = 0, then the closed
-            # estimator loop e+ = (A - A L C) e + w - A L v.
-            sig_seq = [np.zeros((A.shape[0], A.shape[0]))]
-            for tau in range(T - 1):
-                AL = A @ sched.L[tau]
-                Acl = A - AL @ C
-                sig = Acl @ sig_seq[tau] @ Acl.T + system.W
-                if system.v_var:
-                    sig = sig + system.v_var * (AL @ AL.T)
-                sig_seq.append(sig)
-            kal_part = (sched.L, sched.E, sig_seq)
-            kal_cache[arch.sensors] = kal_part
-        K_seq, P_seq, S_seq, const = lqr_part
-        L_seq, E_seq, sig_seq = kal_part
-        cross = 0.0
-        for tau in range(T):
-            K = K_seq[tau]
-            cross += float(np.sum((K @ sig_seq[tau] @ K.T) * S_seq[tau]))
-        predicted = float(x_hat @ P_seq[0] @ x_hat) + const + cross
-        gains = GainSchedule(horizon=T, K=K_seq, P=P_seq, L=L_seq, E=E_seq)
-        run = running_cost(arch, params)
-        switch = switching_cost(arch, arch_init, params)
-        total = predicted + run + switch
-        entry = LedgerEntry(predicted=predicted, running=run, switching=switch,
-                            total_estimated=total)
-        result = (total, entry, gains)
-        full_cache[key] = result
-        return result
+    def by_size(sets, cache) -> dict[int, list[tuple]]:
+        """The uncached sets, deduplicated and grouped by size."""
+        groups: dict[int, dict[tuple, None]] = {}
+        for s in sets:
+            if s not in cache:
+                groups.setdefault(len(s), {})[s] = None
+        return {size: list(group) for size, group in groups.items()}
 
-    return evaluate
+    def fill_lqr(sets: list[tuple], m: int) -> None:
+        idx = np.array(sets, dtype=int).reshape(len(sets), m)
+        # C-ordered slices, laid out as build_input_matrix lays out one B
+        Bs = np.ascontiguousarray(np.moveaxis(system.actuator_pool[:, idx], 1, 0))
+        Rs = params.input_cost[idx[:, :, None], idx[:, None, :]]
+        sched = lqr_backward(A, Bs, params.state_cost, Rs, params.terminal_cost, T)
+        K = np.stack(sched.K, axis=1)                   # (k, T, m, n)
+        P_next = sched.P[1:]
+        S = np.stack([Rs + (mT(Bs) @ P) @ Bs for P in P_next], axis=1)
+        # sum_tau tr(P_{tau+1} W), added over tau in order
+        const = np.cumsum([np.sum(P * W, axis=(1, 2)) for P in P_next], axis=0)[-1]
+        for j, acts in enumerate(sets):
+            P_j = [P[j] for P in sched.P]
+            base = float(x_hat @ P_j[0] @ x_hat) + float(const[j])
+            lqr_cache[acts] = (K[j], P_j, S[j], base)
+
+    def fill_kalman(sets: list[tuple], l: int) -> None:
+        idx = np.array(sets, dtype=int).reshape(len(sets), l)
+        Cs = system.sensor_pool[idx]
+        Vs = np.broadcast_to(v_var * np.eye(l), (len(sets), l, l))
+        sched = kalman_forward(A, Cs, W, Vs, E_t, T)
+        # Horizon-injected error covariance: Sig_0 = 0, then the closed
+        # estimator loop e+ = (A - A L C) e + w - A L v.
+        sig = np.zeros((len(sets), T) + A.shape)
+        for tau in range(T - 1):
+            AL = A @ sched.L[tau]
+            Acl = A - AL @ Cs
+            nxt = Acl @ sig[:, tau] @ mT(Acl) + W
+            if v_var:
+                nxt = nxt + v_var * (AL @ mT(AL))
+            sig[:, tau + 1] = nxt
+        for j, sens in enumerate(sets):
+            kal_cache[sens] = ([L[j] for L in sched.L], [E[j] for E in sched.E], sig[j])
+
+    def evaluate(archs: list[ArchitectureSet]) -> list[tuple]:
+        for m, sets in by_size((a.actuators for a in archs), lqr_cache).items():
+            fill_lqr(sets, m)
+        for l, sets in by_size((a.sensors for a in archs), kal_cache).items():
+            fill_kalman(sets, l)
+        results = []
+        for arch in archs:
+            key = (arch.actuators, arch.sensors)
+            hit = full_cache.get(key)
+            if hit is None:
+                K, _, S, base = lqr_cache[arch.actuators]
+                sig = kal_cache[arch.sensors][2]
+                # sum_tau tr(K' S K Sig), added over tau in order
+                cross = np.cumsum(np.sum((K @ sig @ mT(K)) * S, axis=(1, 2)))[-1]
+                predicted = base + float(cross)
+                run = running_cost(arch, params)
+                switch = switching_cost(arch, arch_init, params)
+                total = predicted + run + switch
+                entry = LedgerEntry(predicted=predicted, running=run, switching=switch,
+                                    total_estimated=total)
+                hit = full_cache[key] = (total, entry)
+            results.append(hit)
+        return results
+
+    def schedule(arch: ArchitectureSet) -> GainSchedule:
+        K, P, _, _ = lqr_cache[arch.actuators]
+        L, E, _ = kal_cache[arch.sensors]
+        return GainSchedule(horizon=T, K=list(K), P=P, L=L, E=E)
+
+    return evaluate, schedule
 
 
 def _pick_choice(evaluate, arch: ArchitectureSet, choices: list[Choice]):
-    """Argmin over a choice list; first minimizer wins except that an exact
-    cost tie involving no-update resolves to no-update."""
+    """Argmin over a choice list, priced in one evaluate call; returns the
+    choice and its architecture.  The first minimizer wins except that an
+    exact cost tie involving no-update resolves to no-update."""
+    cands = [apply_choice(arch, ch) for ch in choices]
     best = None
-    for ch in choices:
-        cand = apply_choice(arch, ch)
-        total, entry, gains = evaluate(cand)
-        if best is None or total < best[1]:
-            best = (ch, total, cand, entry, gains)
-        elif total == best[1] and ch.kind == "no_update":
-            best = (ch, total, cand, entry, gains)
-    return best
+    for ch, cand, (total, _) in zip(choices, cands, evaluate(cands)):
+        if (best is None or total < best[2]
+                or (total == best[2] and ch.kind == "no_update")):
+            best = (ch, cand, total)
+    return best[0], best[1]
 
 
 def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
@@ -346,7 +370,7 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
     check_psd(E_t, "E_t")
     n_prime = constraints.max_per_subsequence
     N = constraints.max_changes
-    evaluate = _swap_metric_factory(system, arch_init, x_hat, E_t, params)
+    evaluate, schedule = _swap_metric_factory(system, arch_init, x_hat, E_t, params)
 
     current = arch_init
     n_count = 0
@@ -357,7 +381,7 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
             choices = selection_choices(current, constraints, M, Lp, n_prime)
             if not choices:
                 break
-            ch, _, cand, _, _ = _pick_choice(evaluate, current, choices)
+            ch, cand = _pick_choice(evaluate, current, choices)
             current = cand                      # applied before the no-update break
             if ch.kind == "no_update":
                 break
@@ -369,7 +393,7 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
             choices = rejection_choices(current, constraints, M, Lp, n_prime)
             if not choices:
                 break
-            ch, _, cand, _, _ = _pick_choice(evaluate, current, choices)
+            ch, cand = _pick_choice(evaluate, current, choices)
             if ch.kind == "no_update":          # checked before applying
                 break
             current = cand
@@ -382,8 +406,8 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
                    + change_count(arch_init.sensors, current.sensors))
     if not satisfies_constraints(current, constraints):
         raise AssertionError("swap returned an infeasible architecture")
-    total, entry, gains = evaluate(current)
-    return current, entry, gains
+    _, entry = evaluate([current])[0]
+    return current, entry, schedule(current)
 
 
 @dataclass(frozen=True)

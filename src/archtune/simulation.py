@@ -265,11 +265,7 @@ def simulate_lqr(config: SimulationConfig) -> SimulationTrace:
     for t in range(config.T_sim):
         if config.mode == "fixed":
             arch_t = config.initial_arch
-            u = K_fixed @ x[t]
-            if isinstance(P_fixed, float):
-                predicted = P_fixed
-            else:
-                predicted = float(x[t] @ P_fixed @ x[t])
+            P_t = P_fixed
             compute_time[t] = fixed_setup if t == 0 else 0.0
         else:
             if config.identify and t >= n:
@@ -288,21 +284,24 @@ def simulate_lqr(config: SimulationConfig) -> SimulationTrace:
             compute_time[t] = time.perf_counter() - tic
             P_t = step_cache.get(arch_t.actuators)
             if P_t is None or isinstance(P_t, Diverged):
-                predicted = math.inf
-            else:
-                predicted = float(x[t] @ P_t @ x[t])
+                P_t = math.inf
         B_t = build_input_matrix(system, arch_t)
         idx = list(arch_t.actuators)
         Rb = _pool_input_cost(config.state_R, system.num_actuators)[np.ix_(idx, idx)]
-        stage = float(x[t] @ Q @ x[t] + u @ Rb @ u)
+        w = W_factor @ rng_w.standard_normal(n)
+        # a diverging state overflows here; _divergence_warnings reports it once
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.mode == "fixed":
+                u = K_fixed @ x[t]
+            predicted = P_t if isinstance(P_t, float) else float(x[t] @ P_t @ x[t])
+            stage = float(x[t] @ Q @ x[t] + u @ Rb @ u)
+            x[t + 1] = A @ x[t] + B_t @ u + w
         run, switch = _zeros_params(config.params, arch_t,
                                     arch_prev if arch_prev is not None else arch_t)
         ledger.entries.append(LedgerEntry(t=t, predicted=predicted, running=run,
                                           switching=switch,
                                           total_estimated=predicted + run + switch))
         accumulate_true_cost(ledger, stage, run, switch, t)
-        w = W_factor @ rng_w.standard_normal(n)
-        x[t + 1] = A @ x[t] + B_t @ u + w
         inputs.append(u)
         input_hist.append(u)
         archs.append(arch_t)
@@ -371,16 +370,18 @@ def simulate_lqg(config: SimulationConfig) -> SimulationTrace:
 
         K0 = gains.K[0]
         L0 = gains.L[0]
-        u = -K0 @ x_hat[t]
         C_t = build_output_matrix(system, arch_t)
-        y = C_t @ x[t] + v_std * rng_v.standard_normal(C_t.shape[0])
-        stage = true_stage_cost(x[t], x_hat[t], arch_t, gains, params)
-        accumulate_true_cost(ledger, stage, entry.running, entry.switching, t)
-
-        x_hat[t + 1] = estimator_update(system, arch_t, K0, L0, x_hat[t], y)
         B_t = build_input_matrix(system, arch_t)
+        v = v_std * rng_v.standard_normal(C_t.shape[0])
         w = W_factor @ rng_w.standard_normal(n)
-        x[t + 1] = A @ x[t] + B_t @ u + w
+        # a diverging state overflows here; _divergence_warnings reports it once
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = -K0 @ x_hat[t]
+            y = C_t @ x[t] + v
+            stage = true_stage_cost(x[t], x_hat[t], arch_t, gains, params)
+            x_hat[t + 1] = estimator_update(system, arch_t, K0, L0, x_hat[t], y)
+            x[t + 1] = A @ x[t] + B_t @ u + w
+        accumulate_true_cost(ledger, stage, entry.running, entry.switching, t)
         V_t = system.v_var * np.eye(C_t.shape[0])
         _, E = kalman_step(A, C_t, system.W, V_t, E, check=False)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._lin import check_psd, check_symmetric, symmetrize
+from ._lin import check_psd, check_symmetric, mT, symmetrize
 
 __all__ = [
     "Diverged",
@@ -94,6 +94,24 @@ class GainSchedule:
 # ---------------------------------------------------------------- LQR side
 
 
+def _as_stack(X: np.ndarray, Y: np.ndarray, axis: int, names: tuple[str, str]):
+    """A device matrix X and its square weight Y as stacks: (Xs, Ys, stacked).
+
+    X is one matrix or a stack of k of them (a leading axis); Y is then
+    (d, d) or (k, d, d), with d the size of X along axis (2 for an input
+    matrix B and its cost R, 1 for an output matrix C and its noise V).  A
+    2-D X comes back as a stack of one.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    stacked = X.ndim == 3
+    Xs, Ys = (X, Y) if stacked else (X[None], Y[None])
+    if Xs.ndim != 3 or Ys.shape != (Xs.shape[0], Xs.shape[axis], Xs.shape[axis]):
+        raise ValueError(f"{names[1]} of shape {Y.shape} does not match "
+                         f"{names[0]} of shape {X.shape}")
+    return Xs, Ys, stacked
+
+
 def riccati_step(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
                  P_next: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """One backward Riccati step; returns (K, P) for u = -K x.
@@ -101,22 +119,21 @@ def riccati_step(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     K = (B'P⁺B + R)^{-1} B'P⁺A and
     P = A'P⁺A - A'P⁺B (B'P⁺B + R)^{-1} B'P⁺A + Q, symmetrized.
     A (0-column) B yields a (0, n) gain and the open-loop update A'P⁺A + Q.
+    B may be a stack of k candidates, shape (k, n, m), with R of shape
+    (k, m, m) and P_next (n, n) or (k, n, n); K and P then come back
+    stacked, each slice equal to the one-candidate step on it.
     """
+    Bs, Rs, stacked = _as_stack(B, R, 2, ("B", "R"))
     if check:
         check_psd(Q, "Q")
-        check_symmetric(R, "R")
+        check_symmetric(Rs, "R")
         check_psd(P_next, "P_next")
-    n = A.shape[0]
-    if B.shape[1] == 0:
-        K = np.zeros((0, n))
-        P = symmetrize(A.T @ P_next @ A + Q)
-        return K, P
-    PB = P_next @ B
-    S = B.T @ PB + R
-    G = PB.T @ A                      # B'P⁺A
+    PB = P_next @ Bs
+    S = mT(Bs) @ PB + Rs
+    G = mT(PB) @ A                    # B'P⁺A
     K = np.linalg.solve(S, G)
-    P = symmetrize(A.T @ P_next @ A - G.T @ K + Q)
-    return K, P
+    P = symmetrize(A.T @ P_next @ A - mT(G) @ K + Q)
+    return (K, P) if stacked else (K[0], P[0])
 
 
 def lqr_backward(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
@@ -125,21 +142,29 @@ def lqr_backward(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
 
     P[T] = Q_T; each earlier P comes from riccati_step.  The pair (K, P)
     prices a horizon-T quadratic rollout from any initial state as x'P[0]x.
+    A stack of k candidates (B of shape (k, n, m), R of shape (k, m, m))
+    runs as one recursion: every K[tau] and P[tau] is then stacked over the
+    candidates.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
+    Bs, Rs, stacked = _as_stack(B, R, 2, ("B", "R"))
     check_psd(Q, "Q")
-    check_symmetric(R, "R")
+    check_symmetric(Rs, "R")
     check_psd(Q_T, "Q_T")
-    P = np.asarray(Q_T, dtype=float)
+    Q_T = np.asarray(Q_T, dtype=float)
+    P = np.broadcast_to(Q_T, (len(Bs),) + Q_T.shape)
     Ps = [P]
     Ks: list[np.ndarray] = []
     for _ in range(T):
-        K, P = riccati_step(A, B, Q, R, P, check=False)
+        K, P = riccati_step(A, Bs, Q, Rs, P, check=False)
         Ks.append(K)
         Ps.append(P)
     Ks.reverse()
     Ps.reverse()
+    if not stacked:
+        Ks = [K[0] for K in Ks]
+        Ps = [P[0] for P in Ps]
     return GainSchedule(horizon=T, K=Ks, P=Ps)
 
 
@@ -282,14 +307,8 @@ def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
         raise ValueError(f"unknown method {method!r}")
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    B = np.asarray(B, dtype=float)
-    R = np.asarray(R, dtype=float)
-    stacked = B.ndim == 3
-    Bs, Rs = (B, R) if stacked else (B[None], R[None])
-    if Rs.shape != (Bs.shape[0], Bs.shape[2], Bs.shape[2]):
-        raise ValueError(f"R of shape {R.shape} does not match B of shape {B.shape}")
-    for R_i in Rs:
-        check_symmetric(R_i, "R")
+    Bs, Rs, stacked = _as_stack(B, R, 2, ("B", "R"))
+    check_symmetric(Rs, "R")
     Ps: list = [None] * len(Bs)
     if method == "auto":
         Ps = []
@@ -311,39 +330,48 @@ def kalman_step(A: np.ndarray, C: np.ndarray, W: np.ndarray, V: np.ndarray,
     E_next = A E A' - A E C' (C E C' + V)^{-1} C E A' + W, symmetrized.
     With no sensors the gain has zero columns and E_next = A E A' + W.
     A singular innovation covariance (possible only when V is singular)
-    surfaces as a solver error.
+    surfaces as a solver error.  C may be a stack of k candidates, shape
+    (k, l, n), with V of shape (k, l, l) and E (n, n) or (k, n, n); L and
+    E_next then come back stacked, each slice equal to the one-candidate
+    step on it.
     """
+    Cs, Vs, stacked = _as_stack(C, V, 1, ("C", "V"))
     if check:
         check_psd(W, "W")
-        check_symmetric(V, "V")
+        check_symmetric(Vs, "V")
         check_psd(E, "E")
-    n = A.shape[0]
-    if C.shape[0] == 0:
-        L = np.zeros((n, 0))
-        E_next = symmetrize(A @ E @ A.T + W)
-        return L, E_next
-    M = E @ C.T
-    S = C @ M + V
-    L = np.linalg.solve(S, M.T).T     # E C' S^{-1}, S symmetric
-    E_next = symmetrize(A @ (E - L @ M.T) @ A.T + W)
-    return L, E_next
+    M = E @ mT(Cs)
+    S = Cs @ M + Vs
+    L = mT(np.linalg.solve(S, mT(M)))     # E C' S^{-1}, S symmetric
+    E_next = symmetrize(A @ (E - L @ mT(M)) @ A.T + W)
+    return (L, E_next) if stacked else (L[0], E_next[0])
 
 
 def kalman_forward(A: np.ndarray, C: np.ndarray, W: np.ndarray, V: np.ndarray,
                    E_0: np.ndarray, T: int) -> GainSchedule:
-    """Forward error-covariance recursion: gains L[0..T-1], covariances E[0..T]."""
+    """Forward error-covariance recursion: gains L[0..T-1], covariances E[0..T].
+
+    A stack of k candidates (C of shape (k, l, n), V of shape (k, l, l))
+    runs as one recursion from the shared E_0: every L[tau] and E[tau] is
+    then stacked over the candidates.
+    """
     if T < 1:
         raise ValueError("horizon must be >= 1")
+    Cs, Vs, stacked = _as_stack(C, V, 1, ("C", "V"))
     check_psd(W, "W")
-    check_symmetric(V, "V")
+    check_symmetric(Vs, "V")
     check_psd(E_0, "E_0")
-    E = np.asarray(E_0, dtype=float)
+    E_0 = np.asarray(E_0, dtype=float)
+    E = np.broadcast_to(E_0, (len(Cs),) + E_0.shape)
     Es = [E]
     Ls: list[np.ndarray] = []
     for _ in range(T):
-        L, E = kalman_step(A, C, W, V, E, check=False)
+        L, E = kalman_step(A, Cs, W, Vs, E, check=False)
         Ls.append(L)
         Es.append(E)
+    if not stacked:
+        Ls = [L[0] for L in Ls]
+        Es = [E[0] for E in Es]
     return GainSchedule(horizon=T, L=Ls, E=Es)
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import archtune.greedy as greedy_mod
 from archtune import (
     ArchitectureConstraints,
     ArchitectureSet,
@@ -16,11 +17,14 @@ from archtune import (
     greedy_select,
     greedy_swap,
     least_squares_identify,
+    predicted_cost,
+    synthesize_gains,
     total_estimated_cost,
     uniform_cost_parameters,
 )
 from archtune.greedy import (
     NO_UPDATE,
+    _swap_metric_factory,
     apply_choice,
     rejection_choices,
     selection_choices,
@@ -284,6 +288,72 @@ class TestGreedySwap:
         bad = ArchitectureSet(actuators=(0, 1), sensors=(0,))
         with pytest.raises(ValueError):
             greedy_swap(sys_, bad, np.ones(2), np.eye(2), params, cons)
+
+
+def _feasible_archs(M, L, cons):
+    """Every architecture within the cardinality bounds, in pool order."""
+    acts = [c for k in range(cons.act_min, cons.act_max + 1)
+            for c in itertools.combinations(range(M), k)]
+    sens = [c for k in range(cons.sen_min, cons.sen_max + 1)
+            for c in itertools.combinations(range(L), k)]
+    return [ArchitectureSet(actuators=a, sensors=s) for a in acts for s in sens]
+
+
+class TestSwapMetric:
+    """The swap's split-form predicted cost, priced over a whole list of
+    architectures at once, against the dense augmented recursion."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_matches_dense_predicted_cost(self, seed, noiseless):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        M, L = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        W = random_psd(rng, n, ridge=0.1 if noiseless else 0.0)
+        system = LinearNetworkSystem(
+            A=rng.standard_normal((n, n)) / np.sqrt(n), W=W,
+            actuator_pool=rng.standard_normal((n, M)),
+            sensor_pool=rng.standard_normal((L, n)),
+            v_var=0.0 if noiseless else 0.2 + rng.random())
+        params = uniform_cost_parameters(n, M, L, horizon=int(rng.integers(1, 6)),
+                                         input_weight=0.5 + rng.random(),
+                                         running=0.3, switching=0.7)
+        # act_min = sen_min = 0: empty actuator and sensor sets are priced too
+        cons = ArchitectureConstraints(0, min(M, 3), 0, min(L, 3))
+        archs = _feasible_archs(M, L, cons)
+        x_hat = 2.0 * rng.standard_normal(n)
+        E_t = random_psd(rng, n, ridge=0.2)
+        evaluate, schedule = _swap_metric_factory(system, archs[0], x_hat, E_t, params)
+        for arch, (total, entry) in zip(archs, evaluate(archs)):
+            dense, gains = predicted_cost(system, arch, x_hat, E_t, params)
+            assert entry.predicted == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert total == entry.total_estimated
+            ours = schedule(arch)
+            for part in ("K", "P", "L", "E"):
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(getattr(ours, part), getattr(gains, part), strict=True))
+
+    def test_repeated_lists_reuse_the_caches(self, monkeypatch):
+        sys_, params, _ = _swap_instance()
+        calls = {"lqr": 0, "kalman": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(greedy_mod, "lqr_backward",
+                            counted("lqr", greedy_mod.lqr_backward))
+        monkeypatch.setattr(greedy_mod, "kalman_forward",
+                            counted("kalman", greedy_mod.kalman_forward))
+        archs = _feasible_archs(2, 2, ArchitectureConstraints(0, 2, 0, 2))
+        evaluate, _ = _swap_metric_factory(sys_, archs[0], np.ones(2), np.eye(2), params)
+        first = evaluate(archs)
+        # one stacked call per set size: sizes 0, 1 and 2 on each side
+        assert calls == {"lqr": 3, "kalman": 3}
+        assert evaluate(archs[::-1]) == first[::-1]
+        assert calls == {"lqr": 3, "kalman": 3}
 
 
 class TestLeastSquaresIdentify:

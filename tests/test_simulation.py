@@ -1,6 +1,7 @@
 """Rollout harness: seeding, determinism, ledger replay, mode coincidences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,17 @@ class TestDivergenceWarning:
         first = int(np.argmax(np.linalg.norm(tr.x, axis=1) > 1e12))
         assert diverged == [f"state diverged at step {first}: |x| = "
                             f"{np.linalg.norm(tr.x[first]):.3e} is past 1e+12"]
+
+    def test_overflow_past_the_guard_stays_quiet(self):
+        # 400 steps take the state past the float range: numpy's overflow
+        # and invalid-value warnings are replaced by the one trace warning
+        cfg = lqr_fixed_config(ArchitectureSet((1,), ()), A=np.diag([10.0, 0.5]),
+                               T_sim=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tr = simulate(cfg)
+        assert not np.all(np.isfinite(tr.x))
+        assert len([w for w in tr.warnings if w.startswith("state diverged")]) == 1
 
     def test_finite_runs_carry_no_warning(self):
         tr = simulate(lqr_fixed_config(ArchitectureSet((0, 1), ()), T_sim=30))

@@ -327,6 +327,95 @@ class TestKalman:
             assert np.min(np.linalg.eigvalsh(E)) >= -1e-9
 
 
+def _stacked_instance(seed, n, m, l, k):
+    """k candidate (B, R) and (C, V) pairs sharing one plant."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    Bs = rng.standard_normal((k, n, m))
+    Rs = np.stack([random_psd(rng, m, ridge=0.5) for _ in range(k)])
+    Cs = rng.standard_normal((k, l, n))
+    Vs = np.stack([random_psd(rng, l, ridge=0.5) for _ in range(k)])
+    return (A, random_psd(rng, n), random_psd(rng, n), Bs, Rs, Cs, Vs,
+            random_psd(rng, n, ridge=0.2), np.stack([random_psd(rng, n) for _ in range(k)]))
+
+
+STACK_SHAPES = [(3, 2, 2, 1), (4, 0, 2, 3), (4, 2, 0, 3), (5, 3, 4, 6), (1, 1, 1, 2)]
+
+
+class TestStackedRecursions:
+    """A stack of candidates gives, slice by slice, the one-candidate result."""
+
+    @pytest.mark.parametrize("n, m, l, k", STACK_SHAPES)
+    def test_riccati_step(self, n, m, l, k):
+        A, Q, _, Bs, Rs, _, _, P, Ps = _stacked_instance(n + 10 * k, n, m, l, k)
+        for P_next in (P, Ps):
+            K, P_out = riccati_step(A, Bs, Q, Rs, P_next)
+            assert K.shape == (k, m, n) and P_out.shape == (k, n, n)
+            for j in range(k):
+                K_j, P_j = riccati_step(A, Bs[j], Q, Rs[j],
+                                        P_next if P_next.ndim == 2 else P_next[j])
+                assert np.array_equal(K[j], K_j) and np.array_equal(P_out[j], P_j)
+
+    @pytest.mark.parametrize("n, m, l, k", STACK_SHAPES)
+    def test_kalman_step(self, n, m, l, k):
+        A, _, W, _, _, Cs, Vs, E, Es = _stacked_instance(n + 10 * k, n, m, l, k)
+        for E_now in (E, Es):
+            L, E_next = kalman_step(A, Cs, W, Vs, E_now)
+            assert L.shape == (k, n, l) and E_next.shape == (k, n, n)
+            for j in range(k):
+                L_j, E_j = kalman_step(A, Cs[j], W, Vs[j],
+                                       E_now if E_now.ndim == 2 else E_now[j])
+                assert np.array_equal(L[j], L_j) and np.array_equal(E_next[j], E_j)
+
+    @pytest.mark.parametrize("n, m, l, k", STACK_SHAPES)
+    def test_lqr_backward(self, n, m, l, k):
+        A, Q, Q_T, Bs, Rs, _, _, _, _ = _stacked_instance(n + 10 * k, n, m, l, k)
+        sched = lqr_backward(A, Bs, Q, Rs, Q_T, 4)
+        assert len(sched.K) == 4 and len(sched.P) == 5
+        for j in range(k):
+            one = lqr_backward(A, Bs[j], Q, Rs[j], Q_T, 4)
+            assert all(np.array_equal(K[j], K_j) for K, K_j in zip(sched.K, one.K))
+            assert all(np.array_equal(P[j], P_j) for P, P_j in zip(sched.P, one.P))
+
+    @pytest.mark.parametrize("n, m, l, k", STACK_SHAPES)
+    def test_kalman_forward(self, n, m, l, k):
+        A, _, W, _, _, Cs, Vs, E_0, _ = _stacked_instance(n + 10 * k, n, m, l, k)
+        sched = kalman_forward(A, Cs, W, Vs, E_0, 4)
+        assert len(sched.L) == 4 and len(sched.E) == 5
+        for j in range(k):
+            one = kalman_forward(A, Cs[j], W, Vs[j], E_0, 4)
+            assert all(np.array_equal(L[j], L_j) for L, L_j in zip(sched.L, one.L))
+            assert all(np.array_equal(E[j], E_j) for E, E_j in zip(sched.E, one.E))
+
+    def test_mismatched_weight_stack_rejected(self):
+        A, Q, Q_T, Bs, Rs, Cs, Vs, E_0, _ = _stacked_instance(0, 3, 2, 2, 3)
+        for bad_R in (Rs[:2], Rs[:, :1, :1], Rs[0]):
+            with pytest.raises(ValueError, match="does not match"):
+                riccati_step(A, Bs, Q, bad_R, Q_T)
+            with pytest.raises(ValueError, match="does not match"):
+                lqr_backward(A, Bs, Q, bad_R, Q_T, 3)
+        with pytest.raises(ValueError, match="does not match"):
+            kalman_step(A, Cs, Q, Vs[:2], E_0)
+        with pytest.raises(ValueError, match="does not match"):
+            kalman_forward(A, Cs, Q, Vs[:, :1, :1], E_0, 3)
+
+    def test_every_slice_is_checked(self):
+        A, Q, Q_T, Bs, Rs, Cs, Vs, E_0, _ = _stacked_instance(1, 3, 2, 2, 3)
+        Rs[2, 0, 1] += 1.0
+        Vs[2, 1, 0] += 1.0
+        with pytest.raises(ValueError, match="R is not symmetric"):
+            riccati_step(A, Bs, Q, Rs, Q_T)
+        with pytest.raises(ValueError, match="R is not symmetric"):
+            lqr_backward(A, Bs, Q, Rs, Q_T, 3)
+        with pytest.raises(ValueError, match="V is not symmetric"):
+            kalman_step(A, Cs, Q, Vs, E_0)
+        with pytest.raises(ValueError, match="V is not symmetric"):
+            kalman_forward(A, Cs, Q, Vs, E_0, 3)
+        Es = np.stack([E_0, E_0, -E_0])
+        with pytest.raises(ValueError, match="E is not positive semidefinite"):
+            kalman_step(A, Cs, Q, Vs[:1].repeat(3, axis=0), Es)
+
+
 class TestEstimatorUpdate:
     def test_pure_prediction_when_gain_zero(self, rng):
         n = 3
