@@ -321,21 +321,25 @@ def accumulate_true_cost(ledger: CostLedger, stage: float, running: float,
     """Record the incurred costs of step t and extend the cumulative total.
 
     cumulative(t) = sum_{tau<=t} (stage + running) + sum_{1<=tau<=t} switching;
-    the switching term is excluded at t = 0.  Steps must be recorded in order.
+    the switching term is excluded at t = 0.  Steps must be recorded in order,
+    so the accumulated entries form a prefix of the ledger: step t is next
+    when entry t - 1 is accumulated and entry t (if any) is not.
     """
-    accumulated = sum(1 for e in ledger.entries if e.cumulative_true is not None)
-    if t != accumulated:
-        raise ValueError(f"steps must be accumulated contiguously: expected t={accumulated}, got {t}")
-    if t < len(ledger.entries):
-        entry = ledger.entries[t]
+    entries = ledger.entries
+    if not (0 <= t <= len(entries)
+            and (t == 0 or entries[t - 1].cumulative_true is not None)
+            and (t == len(entries) or entries[t].cumulative_true is None)):
+        raise ValueError(f"steps must be accumulated contiguously: got t={t}")
+    if t < len(entries):
+        entry = entries[t]
     else:
         entry = LedgerEntry()
-        ledger.entries.append(entry)
+        entries.append(entry)
     entry.t = t
     entry.true_stage = float(stage)
     entry.running = float(running)
     entry.switching = float(switching)
-    prev_total = ledger.entries[t - 1].cumulative_true if t > 0 else 0.0
+    prev_total = entries[t - 1].cumulative_true if t > 0 else 0.0
     increment = stage + running + (switching if t > 0 else 0.0)
     entry.cumulative_true = float(prev_total + increment)
     return ledger

@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._lin import check_psd, mT
-from .costs import CostParameters, LedgerEntry, running_cost, switching_cost
+from .costs import (CostParameters, LedgerEntry, running_cost, switching_cost,
+                    synthesize_gains)
 from .network import (ArchitectureConstraints, ArchitectureSet, LinearNetworkSystem,
                       satisfies_constraints)
-from .synthesis import (Diverged, GainSchedule, kalman_forward, lqr_backward,
+from .synthesis import (Diverged, GainSchedule, factored_kalman, factored_lqr,
                         solve_dare)
 
 __all__ = [
@@ -231,32 +232,35 @@ def rejection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraint
 def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
     """Metric for greedy_swap: prices a whole choice list at once.
 
-    The LQR schedule depends only on the actuator set and the Kalman
-    schedule only on the sensor set.  Before a list is priced, its uncached
-    actuator sets are grouped by size and each group runs one stacked
-    lqr_backward; its uncached sensor sets likewise run one stacked
-    kalman_forward per size.  Both caches, and the priced architectures,
-    last for the duration of one swap call.
+    The LQR side depends only on the actuator set and the Kalman side only
+    on the sensor set.  Before a list is priced, its uncached actuator sets
+    are grouped by size and each group runs one stacked factored_lqr
+    recursion; its uncached sensor sets likewise run one stacked
+    factored_kalman recursion per size.  Both recursions are low-rank
+    corrections to open-loop ones computed once per swap call.  The caches,
+    and the priced architectures, last for the duration of one swap call.
 
     The predicted cost is computed in its completion-of-squares form
-    J = x_hat' P_0 x_hat + sum tr(P_{tau+1} W)
-        + sum tr(K_tau' S_tau K_tau Sig_tau),  S_tau = B' P_{tau+1} B + R,
+    J = x_hat' P_0 x_hat + sum tr(P_{tau+1} W) + sum tr(G_tau Sig_tau),
+    G_tau = K_tau' S_tau K_tau,  S_tau = B' P_{tau+1} B + R,
     where Sig_tau is the error covariance injected over the horizon only
     (Sig_0 = 0, stepped by the closed estimator loop).  This is
     algebraically identical to pricing the augmented closed loop from the
-    doubled estimate, and splits the work into a per-actuator-set part, a
-    per-sensor-set part, and a cheap cross term per architecture.
+    doubled estimate.  With Sig_tau = Gam_tau - Z_tau - Z_tau' (Gam_tau the
+    injected covariance when no sensor is active) it splits into a
+    per-actuator-set part (G and the cost c of the set without sensors), a
+    per-sensor-set part (Z), and one inner product per architecture:
+    J = c - 2 sum tr(G_tau Z_tau).
 
     Returns evaluate, mapping a list of architectures to their
-    (total, ledger entry) pairs, and schedule, the gain schedule of a priced
-    architecture.
+    (total, ledger entry) pairs, and schedule, the gain schedule of an
+    architecture, built by synthesize_gains as for a fixed architecture.
     """
-    A = system.A
-    W = system.W
-    v_var = system.v_var
-    T = params.horizon
+    price_lqr = factored_lqr(system.A, params.state_cost, params.terminal_cost,
+                             system.W, x_hat, params.horizon)
+    price_kalman = factored_kalman(system.A, system.W, E_t, params.horizon)
     lqr_cache: dict[tuple, tuple] = {}
-    kal_cache: dict[tuple, tuple] = {}
+    kal_cache: dict[tuple, np.ndarray] = {}
     full_cache: dict[tuple, tuple] = {}
 
     def by_size(sets, cache) -> dict[int, list[tuple]]:
@@ -269,37 +273,19 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
 
     def fill_lqr(sets: list[tuple], m: int) -> None:
         idx = np.array(sets, dtype=int).reshape(len(sets), m)
-        # C-ordered slices, laid out as build_input_matrix lays out one B
         Bs = np.ascontiguousarray(np.moveaxis(system.actuator_pool[:, idx], 1, 0))
         Rs = params.input_cost[idx[:, :, None], idx[:, None, :]]
-        sched = lqr_backward(A, Bs, params.state_cost, Rs, params.terminal_cost, T)
-        K = np.stack(sched.K, axis=1)                   # (k, T, m, n)
-        P_next = sched.P[1:]
-        S = np.stack([Rs + (mT(Bs) @ P) @ Bs for P in P_next], axis=1)
-        # sum_tau tr(P_{tau+1} W), added over tau in order
-        const = np.cumsum([np.sum(P * W, axis=(1, 2)) for P in P_next], axis=0)[-1]
+        K, S, base = price_lqr(Bs, Rs)
+        G = mT(K) @ S @ K                               # K_tau' S_tau K_tau
         for j, acts in enumerate(sets):
-            P_j = [P[j] for P in sched.P]
-            base = float(x_hat @ P_j[0] @ x_hat) + float(const[j])
-            lqr_cache[acts] = (K[j], P_j, S[j], base)
+            lqr_cache[acts] = (G[j], float(base[j]))
 
     def fill_kalman(sets: list[tuple], l: int) -> None:
         idx = np.array(sets, dtype=int).reshape(len(sets), l)
-        Cs = system.sensor_pool[idx]
-        Vs = np.broadcast_to(v_var * np.eye(l), (len(sets), l, l))
-        sched = kalman_forward(A, Cs, W, Vs, E_t, T)
-        # Horizon-injected error covariance: Sig_0 = 0, then the closed
-        # estimator loop e+ = (A - A L C) e + w - A L v.
-        sig = np.zeros((len(sets), T) + A.shape)
-        for tau in range(T - 1):
-            AL = A @ sched.L[tau]
-            Acl = A - AL @ Cs
-            nxt = Acl @ sig[:, tau] @ mT(Acl) + W
-            if v_var:
-                nxt = nxt + v_var * (AL @ mT(AL))
-            sig[:, tau + 1] = nxt
+        Vs = np.broadcast_to(system.v_var * np.eye(l), (len(sets), l, l))
+        _, Z = price_kalman(system.sensor_pool[idx], Vs)
         for j, sens in enumerate(sets):
-            kal_cache[sens] = ([L[j] for L in sched.L], [E[j] for E in sched.E], sig[j])
+            kal_cache[sens] = Z[j]
 
     def evaluate(archs: list[ArchitectureSet]) -> list[tuple]:
         for m, sets in by_size((a.actuators for a in archs), lqr_cache).items():
@@ -311,11 +297,9 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
             key = (arch.actuators, arch.sensors)
             hit = full_cache.get(key)
             if hit is None:
-                K, _, S, base = lqr_cache[arch.actuators]
-                sig = kal_cache[arch.sensors][2]
-                # sum_tau tr(K' S K Sig), added over tau in order
-                cross = np.cumsum(np.sum((K @ sig @ mT(K)) * S, axis=(1, 2)))[-1]
-                predicted = base + float(cross)
+                G, base = lqr_cache[arch.actuators]
+                # tr(G (Z + Z')) = 2 tr(G Z), G being symmetric
+                predicted = base - 2.0 * float(np.vdot(G, kal_cache[arch.sensors]))
                 run = running_cost(arch, params)
                 switch = switching_cost(arch, arch_init, params)
                 total = predicted + run + switch
@@ -326,9 +310,7 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
         return results
 
     def schedule(arch: ArchitectureSet) -> GainSchedule:
-        K, P, _, _ = lqr_cache[arch.actuators]
-        L, E, _ = kal_cache[arch.sensors]
-        return GainSchedule(horizon=T, K=list(K), P=P, L=L, E=E)
+        return synthesize_gains(system, arch, E_t, params)
 
     return evaluate, schedule
 

@@ -9,7 +9,6 @@ matrix C actually wired into the loop.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -126,10 +125,6 @@ class LinearNetworkSystem:
     @property
     def num_sensors(self) -> int:
         return self.sensor_pool.shape[0]
-
-    def with_noise(self, W: np.ndarray, v_var: float) -> "LinearNetworkSystem":
-        """Copy of the system with new noise levels."""
-        return dataclasses.replace(self, W=np.asarray(W, dtype=float), v_var=float(v_var))
 
 
 def _check_in_pool(indices: tuple[int, ...], size: int, kind: str) -> None:

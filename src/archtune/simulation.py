@@ -344,6 +344,7 @@ def simulate_lqg(config: SimulationConfig) -> SimulationTrace:
     x_hat = np.zeros((config.T_sim + 1, n))
     x[0] = config.x0_std * rng_x0.standard_normal(n)
     E = config.E0_scale * np.eye(n)
+    E_diverged = False
     inputs: list[np.ndarray] = []
     archs: list[ArchitectureSet] = []
     ledger = CostLedger()
@@ -351,20 +352,23 @@ def simulate_lqg(config: SimulationConfig) -> SimulationTrace:
 
     for t in range(config.T_sim):
         tic = time.perf_counter()
-        if config.mode == "self_tuning":
-            arch_t, entry, gains = greedy_swap(system, arch_prev, x_hat[t], E,
-                                               params, constraints)
-            entry.t = t
-        else:
-            arch_t = arch_prev
-            gains = synthesize_gains(system, arch_t, E, params)
-            predicted = predicted_cost_with_gains(system, arch_t, x_hat[t], gains,
-                                                  params)
-            run = running_cost(arch_t, params)
-            switch = switching_cost(arch_t, arch_prev, params)
-            entry = LedgerEntry(t=t, predicted=predicted, running=run,
-                                switching=switch,
-                                total_estimated=predicted + run + switch)
+        # a diverged error covariance overflows here and in its update below;
+        # the update reports it once
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.mode == "self_tuning":
+                arch_t, entry, gains = greedy_swap(system, arch_prev, x_hat[t], E,
+                                                   params, constraints)
+                entry.t = t
+            else:
+                arch_t = arch_prev
+                gains = synthesize_gains(system, arch_t, E, params)
+                predicted = predicted_cost_with_gains(system, arch_t, x_hat[t], gains,
+                                                      params)
+                run = running_cost(arch_t, params)
+                switch = switching_cost(arch_t, arch_prev, params)
+                entry = LedgerEntry(t=t, predicted=predicted, running=run,
+                                    switching=switch,
+                                    total_estimated=predicted + run + switch)
         compute_time[t] = time.perf_counter() - tic
         ledger.entries.append(entry)
 
@@ -383,7 +387,13 @@ def simulate_lqg(config: SimulationConfig) -> SimulationTrace:
             x[t + 1] = A @ x[t] + B_t @ u + w
         accumulate_true_cost(ledger, stage, entry.running, entry.switching, t)
         V_t = system.v_var * np.eye(C_t.shape[0])
-        _, E = kalman_step(A, C_t, system.W, V_t, E, check=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, E = kalman_step(A, C_t, system.W, V_t, E, check=False)
+            E_norm = np.linalg.norm(E)
+        if not E_diverged and not E_norm <= DARE_GUARD:
+            E_diverged = True
+            warnings.append(f"error covariance diverged at step {t + 1}: "
+                            f"|E| = {E_norm:.3e} is past {DARE_GUARD:.0e}")
 
         inputs.append(u)
         archs.append(arch_t)

@@ -5,7 +5,8 @@ the convention u = -K x, so riccati_step returns the positive gain
 K = (B'PB + R)^{-1} B'PA.  Empty architectures degenerate cleanly: with no
 actuators the gain has zero rows and the state penalty propagates open loop;
 with no sensors the filter gain has zero columns and the covariance grows by
-A E A' + W.
+A E A' + W.  factored_lqr and factored_kalman run the same recursions for
+stacks of candidate sets as low-rank corrections to shared open-loop ones.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ __all__ = [
     "GainSchedule",
     "riccati_step",
     "lqr_backward",
+    "factored_lqr",
     "solve_dare",
     "last_riccati_iterate",
     "kalman_step",
     "kalman_forward",
+    "factored_kalman",
     "estimator_update",
 ]
 
@@ -77,18 +80,6 @@ class GainSchedule:
     P: list | None = None
     L: list | None = None
     E: list | None = None
-
-    def validate(self) -> None:
-        """Length and PSD checks; raises ValueError on violation."""
-        T = self.horizon
-        for name, seq, want in (("K", self.K, T), ("P", self.P, T + 1),
-                                ("L", self.L, T), ("E", self.E, T + 1)):
-            if seq is not None and len(seq) != want:
-                raise ValueError(f"{name} must have length {want}, got {len(seq)}")
-        for name, seq in (("P", self.P), ("E", self.E)):
-            if seq is not None:
-                for tau, M in enumerate(seq):
-                    check_psd(M, f"{name}[{tau}]")
 
 
 # ---------------------------------------------------------------- LQR side
@@ -166,6 +157,79 @@ def lqr_backward(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
         Ks = [K[0] for K in Ks]
         Ps = [P[0] for P in Ps]
     return GainSchedule(horizon=T, K=Ks, P=Ps)
+
+
+def _open_loop(A: np.ndarray, X_0: np.ndarray, Y: np.ndarray, steps: int) -> list:
+    """[X_0, ..., X_steps] with X_{j+1} = A X_j A' + Y, symmetrized."""
+    Xs = [np.asarray(X_0, dtype=float)]
+    for _ in range(steps):
+        Xs.append(symmetrize(A @ Xs[-1] @ A.T + Y))
+    return Xs
+
+
+def _blockdiag_times(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """blkdiag(D[:, 0], ..., D[:, q-1]) @ X over a stack: D (k, q, b, b), X (k, q*b, c)."""
+    k, q, b, _ = D.shape
+    return (D @ X.reshape(k, q, b, X.shape[2])).reshape(X.shape)
+
+
+def factored_lqr(A: np.ndarray, Q: np.ndarray, Q_T: np.ndarray, W: np.ndarray,
+                 x: np.ndarray, T: int):
+    """lqr_backward for stacks of input sets, as low-rank corrections to the
+    shared open-loop value recursion; returns price(B, R).
+
+    The open-loop values P0_T = Q_T, P0_tau = A'P0_{tau+1}A + Q are computed
+    once.  Since A'P A - G'S^{-1}G = A'P A - K'S K, a set of m actuators
+    lowers them by a rank-m term per step (the low-rank factored Riccati
+    form; Benner, Li & Penzl, Numer. Linear Algebra Appl. 15(9), 2008):
+        P_tau = P0_tau - F_tau blkdiag(S_tau, ..., S_{T-1}) F_tau',
+        F_tau = [K_tau', A'F_{tau+1}],  F_T empty,
+    with S_tau = R + B'P_{tau+1}B and K_tau = S_tau^{-1} B'P_{tau+1}A.  A set
+    thus costs products with n x m(T-tau) factors instead of dense n x n
+    congruences.
+
+    price(B, R) takes a stack of k sets, B of shape (k, n, m) and R of shape
+    (k, m, m), and returns K (k, T, m, n), the gains of lqr_backward for
+    u = -K x; S (k, T, m, m), the weights S_tau; and c (k,), the constant
+        c = x'P_0x + sum_tau tr(P_{tau+1}W + K_tau'S_tau K_tau Gam_tau)
+    with Gam_tau = sum_{j<tau} A^j W A'^j, the error covariance injected
+    over the horizon when no sensor is active.  Block s of F enters F_0 as
+    A'^s K_s' and F_{tau+1} as A'^(s-tau-1) K_s', so the Gam terms cancel
+    and c = x'P0_0x + sum_tau tr(P0_{tau+1}W) - sum_s v_s'S_s v_s with
+    v_s = K_s A^s x.
+    """
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    check_psd(Q, "Q")
+    check_psd(Q_T, "Q_T")
+    check_psd(W, "W")
+    A = np.asarray(A, dtype=float)
+    x = np.asarray(x, dtype=float)
+    P0 = _open_loop(A.T, Q_T, Q, T)[::-1]
+    c0 = float(x @ P0[0] @ x) + sum(float(np.sum(P * W)) for P in P0[1:])
+    z = [x]                                     # z_s = A^s x
+    for _ in range(T - 1):
+        z.append(A @ z[-1])
+
+    def price(B: np.ndarray, R: np.ndarray):
+        Bs, Rs, _ = _as_stack(B, R, 2, ("B", "R"))
+        check_symmetric(Rs, "R")
+        k, n, m = Bs.shape
+        K = np.empty((k, T, m, n))
+        S = np.empty((k, T, m, m))
+        c = np.full(k, c0)
+        F = np.empty((k, n, 0))
+        for tau in range(T - 1, -1, -1):
+            PB = P0[tau + 1] @ Bs - F @ _blockdiag_times(S[:, tau + 1:], mT(F) @ Bs)
+            S[:, tau] = mT(Bs) @ PB + Rs
+            K[:, tau] = Kt = np.linalg.inv(S[:, tau]) @ (mT(PB) @ A)
+            v = Kt @ z[tau]
+            c -= np.einsum("ki,kij,kj->k", v, S[:, tau], v)
+            if tau:
+                F = np.concatenate([mT(Kt), A.T @ F], axis=2)
+        return K, S, c
+
+    return price
 
 
 def _dare_fixed_point(A, B, Q, R, tol, max_iter, guard):
@@ -373,6 +437,63 @@ def kalman_forward(A: np.ndarray, C: np.ndarray, W: np.ndarray, V: np.ndarray,
         Ls = [L[0] for L in Ls]
         Es = [E[0] for E in Es]
     return GainSchedule(horizon=T, L=Ls, E=Es)
+
+
+def factored_kalman(A: np.ndarray, W: np.ndarray, E_0: np.ndarray, T: int):
+    """kalman_forward for stacks of sensor sets, with the error covariance
+    injected over the horizon, as low-rank corrections to shared open-loop
+    recursions; returns price(C, V).
+
+    The open-loop covariances E0_0 = E_0, E0_{tau+1} = A E0_tau A' + W and
+    their injected part Gam_0 = 0, Gam_{tau+1} = A Gam_tau A' + W are
+    computed once.  A set of l sensors changes them by terms of rank l and
+    2l per step.  With the gain L_tau = E_tau C' S_tau^{-1},
+    S_tau = C E_tau C' + V, the covariance update removes A L S L'A', so
+        E_tau = E0_tau - Lam_tau blkdiag(S_0, ..., S_{tau-1}) Lam_tau',
+        Lam_{tau+1} = A [Lam_tau, L_tau],  Lam_0 empty.
+    The injected covariance Sig_0 = 0,
+    Sig_{tau+1} = Acl Sig_tau Acl' + W + A L_tau V L_tau'A' with
+    Acl = A - A L_tau C, is A Sig_tau A' + W - A (X L' + L X') A' with
+    X_tau = N_tau - L_tau (C N_tau + V) / 2 and N_tau = Sig_tau C', so
+        Sig_tau = Gam_tau - Phi_tau Lam_tau' - Lam_tau Phi_tau',
+        Phi_{tau+1} = A [Phi_tau, X_tau],  Phi_0 empty.
+
+    price(C, V) takes a stack of k sets, C of shape (k, l, n) and V of shape
+    (k, l, l), and returns L (k, T, n, l), the gains of kalman_forward, and
+    Z (k, T, n, n) with Z_tau = Phi_tau Lam_tau', so that
+    Sig_tau = Gam_tau - Z_tau - Z_tau'.
+    """
+    if T < 1:
+        raise ValueError("horizon must be >= 1")
+    check_psd(W, "W")
+    check_psd(E_0, "E_0")
+    A = np.asarray(A, dtype=float)
+    E0 = _open_loop(A, E_0, W, T - 1)
+    Gam = _open_loop(A, np.zeros_like(A), W, T - 1)
+
+    def price(C: np.ndarray, V: np.ndarray):
+        Cs, Vs, _ = _as_stack(C, V, 1, ("C", "V"))
+        check_symmetric(Vs, "V")
+        k, l, n = Cs.shape
+        CT = mT(Cs)
+        L = np.empty((k, T, n, l))
+        S = np.empty((k, T, l, l))
+        Z = np.empty((k, T, n, n))
+        Lam = Phi = np.empty((k, n, 0))
+        for tau in range(T):
+            np.matmul(Phi, mT(Lam), out=Z[:, tau])
+            LamC = mT(Lam) @ CT
+            M = E0[tau] @ CT - Lam @ _blockdiag_times(S[:, :tau], LamC)   # E_tau C'
+            S[:, tau] = Cs @ M + Vs
+            L[:, tau] = Lt = M @ np.linalg.inv(S[:, tau])
+            if tau < T - 1:
+                N = Gam[tau] @ CT - Phi @ LamC - Lam @ (mT(Phi) @ CT)   # Sig_tau C'
+                X = N - 0.5 * (Lt @ (Cs @ N + Vs))
+                Phi = A @ np.concatenate([Phi, X], axis=2)
+                Lam = A @ np.concatenate([Lam, Lt], axis=2)
+        return L, Z
+
+    return price
 
 
 def estimator_update(system, arch, K_0: np.ndarray, L_0: np.ndarray,

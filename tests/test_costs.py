@@ -17,6 +17,7 @@ from archtune import (
     uniform_cost_parameters,
 )
 from archtune.costs import (
+    LedgerEntry,
     active_input_cost,
     build_augmented,
     predicted_cost_with_gains,
@@ -368,3 +369,18 @@ class TestAccumulateTrueCost:
         led = CostLedger()
         with pytest.raises(ValueError):
             accumulate_true_cost(led, 1.0, 0.0, 0.0, t=3)
+
+    def test_out_of_order_rejected_on_a_priced_ledger(self):
+        # a rollout appends each step's priced entry before accumulating it
+        led = CostLedger()
+        led.entries += [LedgerEntry(t=t, predicted=1.0) for t in range(3)]
+        for t in (-1, 1, 2, 3):
+            with pytest.raises(ValueError, match="contiguously"):
+                accumulate_true_cost(led, 1.0, 0.0, 0.0, t=t)
+        accumulate_true_cost(led, 1.0, 0.0, 0.0, t=0)
+        for t in (0, 2):                        # repeated, skipped
+            with pytest.raises(ValueError, match="contiguously"):
+                accumulate_true_cost(led, 1.0, 0.0, 0.0, t=t)
+        accumulate_true_cost(led, 2.0, 0.0, 0.0, t=1)
+        assert [e.cumulative_true for e in led.entries] == [1.0, 3.0, None]
+        assert led.entries[1].predicted == 1.0

@@ -337,16 +337,21 @@ class TestSwapMetric:
         sys_, params, _ = _swap_instance()
         calls = {"lqr": 0, "kalman": 0}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(name, factory):
+            """Count the stacked calls of the price function factory returns."""
+            def make(*args, **kwargs):
+                price = factory(*args, **kwargs)
 
-        monkeypatch.setattr(greedy_mod, "lqr_backward",
-                            counted("lqr", greedy_mod.lqr_backward))
-        monkeypatch.setattr(greedy_mod, "kalman_forward",
-                            counted("kalman", greedy_mod.kalman_forward))
+                def wrapper(*a, **kw):
+                    calls[name] += 1
+                    return price(*a, **kw)
+                return wrapper
+            return make
+
+        monkeypatch.setattr(greedy_mod, "factored_lqr",
+                            counted("lqr", greedy_mod.factored_lqr))
+        monkeypatch.setattr(greedy_mod, "factored_kalman",
+                            counted("kalman", greedy_mod.factored_kalman))
         archs = _feasible_archs(2, 2, ArchitectureConstraints(0, 2, 0, 2))
         evaluate, _ = _swap_metric_factory(sys_, archs[0], np.ones(2), np.eye(2), params)
         first = evaluate(archs)

@@ -314,6 +314,25 @@ class TestDivergenceWarning:
         assert not np.all(np.isfinite(tr.x))
         assert len([w for w in tr.warnings if w.startswith("state diverged")]) == 1
 
+    @pytest.mark.parametrize("mode", ["fixed", "self_tuning"])
+    def test_covariance_overflow_stays_quiet(self, mode):
+        # no sensor sees the first node, so E grows a hundredfold a step past
+        # the float range; numpy's warnings give way to one trace warning
+        sys_ = LinearNetworkSystem(A=np.diag([10.0, 0.5]), actuator_pool=np.eye(2),
+                                   sensor_pool=np.array([[0.0, 1.0], [0.0, 1.0]]),
+                                   W=0.1 * np.eye(2), v_var=0.1)
+        cfg = SimulationConfig(system=sys_, mode=mode, feedback="output", T_sim=400,
+                               seed=0, initial_arch=ArchitectureSet((1,), (1,)),
+                               constraints=ArchitectureConstraints(1, 1, 1, 1),
+                               params=uniform_cost_parameters(2, 2, 2, horizon=4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tr = simulate(cfg)
+        assert caught == []
+        diverged = [w for w in tr.warnings if w.startswith("error covariance diverged")]
+        # E_t = 100^t E_0 + ..., past 1e12 at t = 6
+        assert diverged == ["error covariance diverged at step 6: |E| = 1.001e+12 is past 1e+12"]
+
     def test_finite_runs_carry_no_warning(self):
         tr = simulate(lqr_fixed_config(ArchitectureSet((0, 1), ()), T_sim=30))
         assert tr.warnings == []

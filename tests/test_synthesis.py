@@ -20,6 +20,8 @@ from archtune.synthesis import (
     Diverged,
     _dare_residuals,
     estimator_update,
+    factored_kalman,
+    factored_lqr,
     last_riccati_iterate,
 )
 
@@ -414,6 +416,105 @@ class TestStackedRecursions:
         Es = np.stack([E_0, E_0, -E_0])
         with pytest.raises(ValueError, match="E is not positive semidefinite"):
             kalman_step(A, Cs, Q, Vs[:1].repeat(3, axis=0), Es)
+
+
+def _close(ours, dense, rtol=1e-12):
+    """Equal within rtol of the dense array's largest entry."""
+    assert ours.shape == dense.shape
+    assert np.max(np.abs(ours - dense), initial=0.0) <= rtol * np.max(np.abs(dense), initial=0.0)
+
+
+def _open_loop_injected(A, W, T):
+    """Gam_tau = sum_{j<tau} A^j W A'^j for tau < T: the injected error
+    covariance with no sensor active."""
+    gam = [np.zeros_like(A)]
+    for _ in range(T - 1):
+        gam.append(A @ gam[-1] @ A.T + W)
+    return np.stack(gam)
+
+
+def _injected_covariance(A, Cs, W, Vs, gains):
+    """The dense injected-error recursion: Sig_0 = 0,
+    Sig_{tau+1} = Acl Sig Acl' + W + A L V L'A' with Acl = A - A L C."""
+    T = len(gains)
+    sig = np.zeros((len(Cs), T) + A.shape)
+    for tau in range(T - 1):
+        AL = A @ gains[tau]
+        Acl = A - AL @ Cs
+        sig[:, tau + 1] = Acl @ sig[:, tau] @ Acl.swapaxes(1, 2) + W + AL @ Vs @ AL.swapaxes(1, 2)
+    return sig
+
+
+# (n, m or l, k, T): m*T > n makes the factor wider than the state
+FACTORED_SHAPES = [(3, 2, 2, 1), (3, 2, 3, 6), (5, 1, 4, 4), (4, 0, 3, 3), (2, 3, 2, 5),
+                   (6, 3, 5, 3)]
+
+
+class TestFactoredRecursions:
+    """factored_lqr and factored_kalman against the dense recursions."""
+
+    @pytest.mark.parametrize("n, m, k, T", FACTORED_SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lqr_matches_lqr_backward(self, n, m, k, T, seed):
+        rng = np.random.default_rng(100 * seed + 10 * n + m)
+        A = stable_matrix(rng, n, radius=0.6 + 0.6 * rng.random())
+        Q, Q_T, W = random_psd(rng, n), random_psd(rng, n), random_psd(rng, n)
+        x = 2.0 * rng.standard_normal(n)
+        Bs = rng.standard_normal((k, n, m))
+        Rs = np.stack([random_psd(rng, m, ridge=0.5) for _ in range(k)])
+        K, S, c = factored_lqr(A, Q, Q_T, W, x, T)(Bs, Rs)
+        dense = lqr_backward(A, Bs, Q, Rs, Q_T, T)
+        K_dense = np.stack(dense.K, axis=1)                     # (k, T, m, n)
+        P_next = np.stack(dense.P[1:], axis=1)                  # (k, T, n, n)
+        S_dense = Rs[:, None] + Bs.swapaxes(1, 2)[:, None] @ P_next @ Bs[:, None]
+        _close(K, K_dense)
+        _close(S, S_dense)
+        G = K_dense.swapaxes(2, 3) @ S_dense @ K_dense
+        want = (np.einsum("i,kij,j->k", x, dense.P[0], x) + np.sum(P_next * W, axis=(1, 2, 3))
+                + np.sum(G * _open_loop_injected(A, W, T), axis=(1, 2, 3)))
+        _close(c, want)
+
+    @pytest.mark.parametrize("n, l, k, T", FACTORED_SHAPES)
+    @pytest.mark.parametrize("noiseless", [False, True])
+    def test_kalman_matches_kalman_forward(self, n, l, k, T, noiseless):
+        if noiseless:
+            l = min(l, n)                       # C E C' alone must be invertible
+        rng = np.random.default_rng(10 * n + l + T + noiseless)
+        A = stable_matrix(rng, n, radius=0.6 + 0.6 * rng.random())
+        W = random_psd(rng, n, ridge=0.1 if noiseless else 0.0)
+        E_0 = random_psd(rng, n, ridge=0.2)
+        Cs = rng.standard_normal((k, l, n))
+        Vs = (np.zeros((k, l, l)) if noiseless
+              else np.stack([random_psd(rng, l, ridge=0.5) for _ in range(k)]))
+        L, Z = factored_kalman(A, W, E_0, T)(Cs, Vs)
+        dense = kalman_forward(A, Cs, W, Vs, E_0, T)
+        _close(L, np.stack(dense.L, axis=1))
+        _close(_open_loop_injected(A, W, T) - Z - Z.swapaxes(2, 3),
+               _injected_covariance(A, Cs, W, Vs, dense.L))
+
+    def test_inputs_are_checked(self):
+        A, Q, Q_T, Bs, Rs, Cs, Vs, E_0, _ = _stacked_instance(2, 3, 2, 2, 3)
+        x = np.ones(3)
+        price_lqr = factored_lqr(A, Q, Q_T, Q, x, 3)
+        price_kalman = factored_kalman(A, Q, E_0, 3)
+        with pytest.raises(ValueError, match="does not match"):
+            price_lqr(Bs, Rs[:2])
+        with pytest.raises(ValueError, match="does not match"):
+            price_kalman(Cs, Vs[:, :1, :1])
+        Rs[2, 0, 1] += 1.0
+        Vs[2, 1, 0] += 1.0
+        with pytest.raises(ValueError, match="R is not symmetric"):
+            price_lqr(Bs, Rs)
+        with pytest.raises(ValueError, match="V is not symmetric"):
+            price_kalman(Cs, Vs)
+        for name, call in (("Q", lambda: factored_lqr(A, -Q_T - np.eye(3), Q_T, Q, x, 3)),
+                           ("Q_T", lambda: factored_lqr(A, Q, -Q_T - np.eye(3), Q, x, 3)),
+                           ("W", lambda: factored_kalman(A, -np.eye(3), E_0, 3)),
+                           ("E_0", lambda: factored_kalman(A, Q, -E_0, 3))):
+            with pytest.raises(ValueError, match=f"{name} is not positive semidefinite"):
+                call()
+        with pytest.raises(ValueError, match="horizon"):
+            factored_lqr(A, Q, Q_T, Q, x, 0)
 
 
 class TestEstimatorUpdate:
