@@ -31,7 +31,6 @@ from .greedy import (
     Choice,
     change_count,
     greedy_actuator_state_feedback,
-    greedy_reject,
     greedy_select,
     greedy_swap,
     least_squares_identify,
@@ -53,8 +52,6 @@ from .simulation import (
     SimulationTrace,
     compare_runs,
     simulate,
-    simulate_lqg,
-    simulate_lqr,
 )
 from .synthesis import (
     DIVERGED,
@@ -97,7 +94,6 @@ __all__ = [
     "estimator_update",
     "evaluate",
     "greedy_actuator_state_feedback",
-    "greedy_reject",
     "greedy_select",
     "greedy_swap",
     "kalman_forward",
@@ -112,8 +108,6 @@ __all__ = [
     "running_cost",
     "selection_choices",
     "simulate",
-    "simulate_lqg",
-    "simulate_lqr",
     "solve_dare",
     "switching_cost",
     "synthesize_gains",

@@ -29,7 +29,7 @@ __all__ = [
     "LedgerEntry",
     "CostLedger",
     "uniform_cost_parameters",
-    "active_input_cost",
+    "input_cost_block",
     "synthesize_gains",
     "build_augmented",
     "predicted_cost",
@@ -94,10 +94,17 @@ def uniform_cost_parameters(n: int, M: int, L: int, horizon: int,
     )
 
 
-def active_input_cost(params: CostParameters, arch: ArchitectureSet) -> np.ndarray:
-    """Principal submatrix of the pool input cost for the active actuators."""
-    idx = list(arch.actuators)
-    return params.input_cost[np.ix_(idx, idx)]
+def input_cost_block(R, actuators) -> np.ndarray:
+    """Input cost of the active actuators: the principal submatrix of a
+    pool-sized R, or a scalar rate R times the identity.  actuators is one
+    index sequence or a (k, m) array of them, answered with a (k, m, m) stack.
+    """
+    idx = np.asarray(actuators, dtype=int)
+    R = np.asarray(R, dtype=float)
+    if R.ndim == 0:
+        m = idx.shape[-1]
+        return float(R) * np.broadcast_to(np.eye(m), idx.shape + (m,))
+    return R[idx[..., :, None], idx[..., None, :]]
 
 
 @dataclass
@@ -141,7 +148,7 @@ def build_augmented(system: LinearNetworkSystem, arch: ArchitectureSet,
     F = np.zeros((2 * n, n + l))
     F[:n, :n] = np.eye(n)
     F[n:, n:] = AL
-    R1a = active_input_cost(params, arch)
+    R1a = input_cost_block(params.input_cost, arch.actuators)
     Q_bar = np.zeros((2 * n, 2 * n))
     Q_bar[:n, :n] = params.state_cost
     Q_bar[n:, n:] = K.T @ R1a @ K
@@ -156,7 +163,7 @@ def synthesize_gains(system: LinearNetworkSystem, arch: ArchitectureSet,
     """LQR backward + Kalman forward schedules for one architecture over T_p."""
     B = build_input_matrix(system, arch)
     C = build_output_matrix(system, arch)
-    R1a = active_input_cost(params, arch)
+    R1a = input_cost_block(params.input_cost, arch.actuators)
     T = params.horizon
     lqr = lqr_backward(system.A, B, params.state_cost, R1a, params.terminal_cost, T)
     V = system.v_var * np.eye(C.shape[0])
@@ -181,7 +188,7 @@ def predicted_cost_with_gains(system: LinearNetworkSystem, arch: ArchitectureSet
     A = system.A
     B = build_input_matrix(system, arch)
     C = build_output_matrix(system, arch)
-    R1a = active_input_cost(params, arch)
+    R1a = input_cost_block(params.input_cost, arch.actuators)
     Q = params.state_cost
     W = system.W
     v_var = system.v_var
@@ -248,7 +255,7 @@ def true_stage_cost(x: np.ndarray, x_hat: np.ndarray, arch: ArchitectureSet,
     if K0.shape != (len(arch.actuators), x.shape[0]):
         raise ValueError("K_0 dimensions do not match the architecture")
     u = K0 @ x_hat
-    R1a = active_input_cost(params, arch)
+    R1a = input_cost_block(params.input_cost, arch.actuators)
     return float(x @ params.state_cost @ x + u @ R1a @ u)
 
 
@@ -259,20 +266,14 @@ def running_cost(arch: ArchitectureSet, params: CostParameters) -> float:
 
 
 def switching_cost(arch: ArchitectureSet, arch_prev: ArchitectureSet,
-                   params: CostParameters, signed: bool = False) -> float:
-    """Cost of toggling devices between two consecutive architectures.
-
-    Default: elementwise absolute difference of the indicator vectors, so
-    every toggle is costly.  signed=True keeps the literal signed form in
-    which deactivations earn the rate back (compatibility switch).
-    """
+                   params: CostParameters) -> float:
+    """Cost of toggling devices between two consecutive architectures: the
+    elementwise absolute difference of the indicator vectors, so every
+    toggle is costly."""
     M = params.actuator_switching.shape[0]
     L = params.sensor_switching.shape[0]
-    da = indicator(arch, "actuator", M) - indicator(arch_prev, "actuator", M)
-    ds = indicator(arch, "sensor", L) - indicator(arch_prev, "sensor", L)
-    if not signed:
-        da = np.abs(da)
-        ds = np.abs(ds)
+    da = np.abs(indicator(arch, "actuator", M) - indicator(arch_prev, "actuator", M))
+    ds = np.abs(indicator(arch, "sensor", L) - indicator(arch_prev, "sensor", L))
     return float(da @ params.actuator_switching + ds @ params.sensor_switching)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lin import check_psd, check_symmetric
+from .costs import input_cost_block
 from .network import LinearNetworkSystem
 from .synthesis import riccati_step
 
@@ -58,27 +59,14 @@ def architecture_subsets(M: int, K_cardinality: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(M), K_cardinality))
 
 
-def _input_cost_block(R: np.ndarray, indices: tuple[int, ...], M: int) -> np.ndarray:
-    """R may be a scalar rate, a K x K matrix shared by every subset, or the
-    pool-sized M x M matrix from which the active block is extracted."""
-    K = len(indices)
-    R = np.asarray(R, dtype=float)
-    if R.ndim == 0:
-        return float(R) * np.eye(K)
-    if R.shape == (M, M) and M != K:
-        return R[np.ix_(list(indices), list(indices))]
-    if R.shape == (K, K):
-        return R
-    raise ValueError(f"R must be scalar, ({K},{K}), or ({M},{M}); got {R.shape}")
-
-
 def dp_backward(system: LinearNetworkSystem, Q: np.ndarray, R, Q_T: np.ndarray,
                 W: np.ndarray, T: int, K_cardinality: int,
                 prune: bool = False) -> list[PiecewiseQuadratic]:
     """Exact cost-to-go functions J_t for t = 0..T, newest stage first in time.
 
     J_T is the single piece (Q_T, 0).  Each backward step expands every piece
-    (P+, q+) through every K-subset architecture B:
+    (P+, q+) through every K-subset architecture B, in one stacked
+    riccati_step per architecture:
     P' = A'P+A + Q - A'P+B (B'P+B + R)^{-1} B'P+A, q' = q+ + trace(P+ W).
     Refuses instances whose piece count would exceed the guard.  Dominance
     pruning (off by default) drops a piece when an earlier or mutually
@@ -90,10 +78,9 @@ def dp_backward(system: LinearNetworkSystem, Q: np.ndarray, R, Q_T: np.ndarray,
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     A = system.A
-    M = system.num_actuators
-    archs = architecture_subsets(M, K_cardinality)
+    archs = architecture_subsets(system.num_actuators, K_cardinality)
     B_mats = [system.actuator_pool[:, list(s)] for s in archs]
-    R_blocks = [_input_cost_block(R, s, M) for s in archs]
+    R_blocks = [input_cost_block(R, s) for s in archs]
     for Rb in R_blocks:
         check_symmetric(Rb, "R block")
     terminal = PiecewiseQuadratic((QuadraticPiece(P=np.asarray(Q_T, dtype=float), q=0.0),))
@@ -102,12 +89,14 @@ def dp_backward(system: LinearNetworkSystem, Q: np.ndarray, R, Q_T: np.ndarray,
     for _ in range(T):
         if len(current.pieces) * len(archs) > PIECE_GUARD:
             raise ValueError(f"piece count would exceed {PIECE_GUARD}; instance too large")
+        P_next = np.stack([piece.P for piece in current.pieces])
+        # q' = q+ + trace(P+ W), the same for every architecture
+        q_new = [piece.q + float(np.sum(piece.P * W)) for piece in current.pieces]
         new_pieces = []
         for a_idx, (B, Rb) in enumerate(zip(B_mats, R_blocks)):
-            for piece in current.pieces:
-                _, P_new = riccati_step(A, B, Q, Rb, piece.P, check=False)
-                q_new = piece.q + float(np.sum(piece.P * W))   # trace(P+ W)
-                new_pieces.append(QuadraticPiece(P=P_new, q=q_new, provenance=a_idx))
+            _, P_new = riccati_step(A, B, Q, Rb, P_next, check=False)
+            new_pieces += [QuadraticPiece(P=P, q=q, provenance=a_idx)
+                           for P, q in zip(P_new, q_new)]
         if prune:
             new_pieces = _dominance_prune(new_pieces)
         current = PiecewiseQuadratic(tuple(new_pieces))
@@ -159,12 +148,11 @@ def brute_force_value(system: LinearNetworkSystem, Q: np.ndarray, R, Q_T: np.nda
     check_psd(Q_T, "Q_T")
     check_psd(W, "W")
     A = system.A
-    M = system.num_actuators
-    archs = architecture_subsets(M, K_cardinality)
+    archs = architecture_subsets(system.num_actuators, K_cardinality)
     if len(archs) ** T > SEQUENCE_GUARD:
         raise ValueError(f"architecture sequence count exceeds {SEQUENCE_GUARD}")
     B_mats = {s: system.actuator_pool[:, list(s)] for s in archs}
-    R_blocks = {s: _input_cost_block(R, s, M) for s in archs}
+    R_blocks = {s: input_cost_block(R, s) for s in archs}
     x = np.asarray(x, dtype=float)
     Q_T = np.asarray(Q_T, dtype=float)
     best = np.inf

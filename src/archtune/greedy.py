@@ -1,5 +1,5 @@
-"""Combinatorial search: greedy selection/rejection, swapping, and the
-state-feedback actuator selector.
+"""Combinatorial search: greedy selection, swapping, and the state-feedback
+actuator selector.
 
 The swapping optimizer alternates a forced-selection subsequence (grow the
 architecture, bounds shifted up by the per-subsequence budget) and a
@@ -13,14 +13,15 @@ lowest pool index, actuators before sensors, no-update wins exact ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect, insort
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._lin import check_psd, mT
-from .costs import (CostParameters, LedgerEntry, running_cost, switching_cost,
-                    synthesize_gains)
+from .costs import (CostParameters, LedgerEntry, input_cost_block, running_cost,
+                    switching_cost, synthesize_gains)
 from .network import (ArchitectureConstraints, ArchitectureSet, LinearNetworkSystem,
                       satisfies_constraints)
 from .synthesis import (Diverged, GainSchedule, factored_kalman, factored_lqr,
@@ -29,11 +30,9 @@ from .synthesis import (Diverged, GainSchedule, factored_kalman, factored_lqr,
 __all__ = [
     "Choice",
     "NO_UPDATE",
-    "ForcedConstraints",
     "apply_choice",
     "change_count",
     "greedy_select",
-    "greedy_reject",
     "selection_choices",
     "rejection_choices",
     "greedy_swap",
@@ -78,50 +77,6 @@ def apply_choice(arch: ArchitectureSet, choice: Choice) -> ArchitectureSet:
     return ArchitectureSet(actuators=acts, sensors=sens)
 
 
-@dataclass(frozen=True)
-class ForcedConstraints:
-    """Cardinality bounds active during one subsequence.
-
-    Selection mode shifts all four base bounds up by the subsequence budget
-    so the optimizer is forced to grow past feasibility before pruning;
-    rejection mode uses the base bounds unchanged.
-    """
-
-    mode: str
-    base: ArchitectureConstraints
-    shift: int
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("selection", "rejection"):
-            raise ValueError(f"mode must be selection or rejection, got {self.mode!r}")
-        if self.shift < 0:
-            raise ValueError("shift must be >= 0")
-
-    @property
-    def offset(self) -> int:
-        return self.shift if self.mode == "selection" else 0
-
-    @property
-    def act_min(self) -> int:
-        return self.base.act_min + self.offset
-
-    @property
-    def act_max(self) -> int:
-        return self.base.act_max + self.offset
-
-    @property
-    def sen_min(self) -> int:
-        return self.base.sen_min + self.offset
-
-    @property
-    def sen_max(self) -> int:
-        return self.base.sen_max + self.offset
-
-    def satisfies(self, arch: ArchitectureSet) -> bool:
-        return (self.act_min <= len(arch.actuators) <= self.act_max
-                and self.sen_min <= len(arch.sensors) <= self.sen_max)
-
-
 def change_count(s1, s2) -> int:
     """Swap distance between index sets: max of the two difference cardinalities."""
     a, b = set(s1), set(s2)
@@ -131,39 +86,30 @@ def change_count(s1, s2) -> int:
 def greedy_select(choice_pool: Sequence, metric: Callable, L_max: int):
     """Grow a set from empty, adding the argmin element until |S| = L_max.
 
-    metric maps a tuple of selected elements (in pool order) to an extended
-    real; +inf marks forbidden sets.  Ties keep the earliest pool element.
+    Each round, metric prices the list of candidate sets, the selection plus
+    one unselected element each (elements in pool order, candidates in the
+    order of their added element), and returns one extended real per
+    candidate; +inf marks forbidden sets.  Ties keep the earliest pool
+    element, a non-finite cost never beats a finite one, and a round with no
+    finite cost adds the earliest unselected element.
     """
     if L_max > len(choice_pool):
         raise ValueError(f"L_max={L_max} exceeds pool size {len(choice_pool)}")
-    selected: list = []
-    while len(selected) < L_max:
-        best_item, best_cost = None, math.inf
-        for item in choice_pool:
-            if item in selected:
-                continue
-            cand = tuple(x for x in choice_pool if x in selected or x == item)
-            cost = metric(cand)
-            if best_item is None or cost < best_cost:
-                best_item, best_cost = item, cost
-        selected.append(best_item)
-    return tuple(x for x in choice_pool if x in selected)
-
-
-def greedy_reject(choice_pool: Sequence, metric: Callable, L_max: int):
-    """Shrink from the full pool, removing the argmin element until |S| = L_max."""
-    if L_max > len(choice_pool):
-        raise ValueError(f"L_max={L_max} exceeds pool size {len(choice_pool)}")
-    selected = list(choice_pool)
-    while len(selected) > L_max:
-        best_item, best_cost = None, math.inf
-        for item in selected:
-            cand = tuple(x for x in selected if x != item)
-            cost = metric(cand)
-            if best_item is None or cost < best_cost:
-                best_item, best_cost = item, cost
-        selected.remove(best_item)
-    return tuple(selected)
+    pool = list(choice_pool)
+    chosen: list[int] = []                      # positions in pool, ascending
+    while len(chosen) < L_max:
+        sel = tuple(pool[j] for j in chosen)
+        free = [i for i in range(len(pool)) if i not in chosen]
+        cands = []
+        for i in free:
+            k = bisect(chosen, i)
+            cands.append(sel[:k] + (pool[i],) + sel[k:])
+        best, best_cost = free[0], math.inf
+        for i, cost in zip(free, metric(cands)):
+            if cost < best_cost:
+                best, best_cost = i, cost
+        insort(chosen, best)
+    return tuple(pool[j] for j in chosen)
 
 
 def selection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraints,
@@ -178,7 +124,10 @@ def selection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraint
     """
     if n_prime is None:
         n_prime = constraints.max_per_subsequence
-    fc = ForcedConstraints("selection", constraints, n_prime)
+    fc = replace(constraints, act_min=constraints.act_min + n_prime,
+                 act_max=constraints.act_max + n_prime,
+                 sen_min=constraints.sen_min + n_prime,
+                 sen_max=constraints.sen_max + n_prime)
     inactive_act = [i for i in range(num_actuators) if i not in set(arch.actuators)]
     inactive_sen = [j for j in range(num_sensors) if j not in set(arch.sensors)]
     nA, nS = len(arch.actuators), len(arch.sensors)
@@ -195,7 +144,7 @@ def selection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraint
         choices += [Choice("add_actuator", i) for i in inactive_act]
     if nS < fc.sen_max:
         choices += [Choice("add_sensor", j) for j in inactive_sen]
-    if fc.satisfies(arch):
+    if satisfies_constraints(arch, fc):
         choices.append(NO_UPDATE)
     return choices
 
@@ -209,22 +158,21 @@ def rejection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraint
     violating kinds only.  Otherwise removals are offered for kinds above
     their minima, plus no-update iff the base bounds hold.
     """
-    fc = ForcedConstraints("rejection", constraints, 0)
     nA, nS = len(arch.actuators), len(arch.sensors)
     choices: list[Choice] = []
-    act_over = nA > fc.act_max
-    sen_over = nS > fc.sen_max
+    act_over = nA > constraints.act_max
+    sen_over = nS > constraints.sen_max
     if act_over or sen_over:
         if act_over:
             choices += [Choice("remove_actuator", i) for i in arch.actuators]
         if sen_over:
             choices += [Choice("remove_sensor", j) for j in arch.sensors]
         return choices
-    if nA > fc.act_min:
+    if nA > constraints.act_min:
         choices += [Choice("remove_actuator", i) for i in arch.actuators]
-    if nS > fc.sen_min:
+    if nS > constraints.sen_min:
         choices += [Choice("remove_sensor", j) for j in arch.sensors]
-    if fc.satisfies(arch):
+    if satisfies_constraints(arch, constraints):
         choices.append(NO_UPDATE)
     return choices
 
@@ -274,8 +222,7 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
     def fill_lqr(sets: list[tuple], m: int) -> None:
         idx = np.array(sets, dtype=int).reshape(len(sets), m)
         Bs = np.ascontiguousarray(np.moveaxis(system.actuator_pool[:, idx], 1, 0))
-        Rs = params.input_cost[idx[:, :, None], idx[:, None, :]]
-        K, S, base = price_lqr(Bs, Rs)
+        K, S, base = price_lqr(Bs, input_cost_block(params.input_cost, idx))
         G = mT(K) @ S @ K                               # K_tau' S_tau K_tau
         for j, acts in enumerate(sets):
             lqr_cache[acts] = (G[j], float(base[j]))
@@ -429,8 +376,8 @@ def greedy_actuator_state_feedback(system: LinearNetworkSystem, x_t: np.ndarray,
                                    dare_cache: dict | None = None):
     """Greedy actuator selection for state feedback; returns (arch, K, u = K x).
 
-    Grows the actuator set one element at a time, scoring each candidate set
-    by x' P x with P its infinite-horizon cost matrix (Diverged counts as
+    greedy_select over the actuator pool, scoring each candidate set by
+    x' P x with P its infinite-horizon cost matrix (Diverged counts as
     +inf).  The uncached candidate sets of a round are solved together in
     one stacked solve_dare call.  Ties keep the lowest index; when every
     candidate diverges the lowest index is taken anyway (the set may become
@@ -444,44 +391,28 @@ def greedy_actuator_state_feedback(system: LinearNetworkSystem, x_t: np.ndarray,
         raise ValueError(f"cardinality {cardinality} exceeds pool size {M}")
     A = system.A if A_hat is None else np.asarray(A_hat, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if R.ndim == 0:
-        R = float(R) * np.eye(M)
     cache = dare_cache if dare_cache is not None else {}
 
-    def solve_missing(candidates: list[tuple[int, ...]]) -> None:
-        """Solve every uncached candidate set of one round in one stacked call."""
+    def solve(candidates: list[tuple[int, ...]]) -> list:
+        """P of every candidate; the uncached ones solved in one stacked call."""
         missing = [c for c in candidates if c not in cache]
         if missing:
             idx = np.array(missing, dtype=int).reshape(len(missing), -1)
             Bs = np.moveaxis(system.actuator_pool[:, idx], 1, 0)
-            Rs = R[idx[:, :, None], idx[:, None, :]]
-            cache.update(zip(missing, solve_dare(A, Bs, Q, Rs)))
+            cache.update(zip(missing, solve_dare(A, Bs, Q, input_cost_block(R, idx))))
+        return [cache[c] for c in candidates]
 
-    selected: list[int] = []
-    while len(selected) < cardinality:
-        pool = [s for s in range(M) if s not in selected]
-        candidates = [tuple(sorted(selected + [s])) for s in pool]
-        solve_missing(candidates)
-        best_i, best_cost = None, math.inf
-        for s, indices in zip(pool, candidates):
-            P = cache[indices]
-            cost = math.inf if isinstance(P, Diverged) else float(x_t @ P @ x_t)
-            if cost < best_cost:
-                best_i, best_cost = s, cost
-        if best_i is None:                      # every candidate diverged
-            best_i = pool[0]
-        selected.append(best_i)
+    def round_costs(candidates: list[tuple[int, ...]]) -> list[float]:
+        return [math.inf if isinstance(P, Diverged) else float(x_t @ P @ x_t)
+                for P in solve(candidates)]
 
-    arch = ArchitectureSet(actuators=selected, sensors=())
-    indices = arch.actuators
-    solve_missing([indices])
-    P = cache[indices]
-    n = system.n
-    B = system.actuator_pool[:, list(indices)]
+    arch = ArchitectureSet(actuators=greedy_select(range(M), round_costs, cardinality),
+                           sensors=())
+    (P,) = solve([arch.actuators])
+    B = system.actuator_pool[:, list(arch.actuators)]
     if isinstance(P, Diverged):
-        K = np.zeros((len(indices), n))
+        K = np.zeros((cardinality, system.n))
     else:
-        Rblk = R[np.ix_(list(indices), list(indices))]
+        Rblk = input_cost_block(R, arch.actuators)
         K = -np.linalg.solve(Rblk + B.T @ P @ B, B.T @ P @ A)
     return arch, K, K @ x_t

@@ -21,6 +21,7 @@ from .costs import (
     CostParameters,
     LedgerEntry,
     accumulate_true_cost,
+    input_cost_block,
     predicted_cost_with_gains,
     running_cost,
     switching_cost,
@@ -56,16 +57,9 @@ __all__ = [
     "ComparisonSummary",
     "draw_feasible_architecture",
     "simulate",
-    "simulate_lqr",
-    "simulate_lqg",
     "compare_runs",
 ]
 
-
-def _pool_input_cost(R, M: int) -> np.ndarray:
-    """Promote a scalar rate to the pool-sized input cost matrix."""
-    R = np.asarray(R, dtype=float)
-    return float(R) * np.eye(M) if R.ndim == 0 else R
 
 MODES = ("fixed", "self_tuning")
 FEEDBACKS = ("state", "output")
@@ -187,11 +181,14 @@ def _spawn_streams(seed: int):
     return tuple(np.random.default_rng(c) for c in children)
 
 
-def _zeros_params(params: CostParameters | None, arch: ArchitectureSet,
-                  arch_prev: ArchitectureSet):
-    if params is None:
-        return 0.0, 0.0
-    return running_cost(arch, params), switching_cost(arch, arch_prev, params)
+def _ledger_entry(t: int, predicted: float, arch: ArchitectureSet,
+                  arch_prev: ArchitectureSet, params: CostParameters | None) -> LedgerEntry:
+    """Estimated costs of a committed architecture; without cost parameters
+    the architecture itself costs nothing."""
+    run = 0.0 if params is None else running_cost(arch, params)
+    switch = 0.0 if params is None else switching_cost(arch, arch_prev, params)
+    return LedgerEntry(t=t, predicted=predicted, running=run, switching=switch,
+                       total_estimated=predicted + run + switch)
 
 
 def _divergence_warnings(x: np.ndarray) -> list[str]:
@@ -212,8 +209,7 @@ def _fixed_state_gain(system: LinearNetworkSystem, arch: ArchitectureSet,
     """Infinite-horizon gain for a fixed actuator set; falls back per the
     diverged policy when no stabilizing solution exists."""
     B = build_input_matrix(system, arch)
-    idx = list(arch.actuators)
-    Rb = _pool_input_cost(R, system.num_actuators)[np.ix_(idx, idx)]
+    Rb = input_cost_block(R, arch.actuators)
     P = solve_dare(system.A, B, Q, Rb)
     if isinstance(P, Diverged):
         warnings.append(f"fixed architecture {arch.actuators} has no stabilizing "
@@ -228,188 +224,165 @@ def _fixed_state_gain(system: LinearNetworkSystem, arch: ArchitectureSet,
     return K, P
 
 
-def simulate_lqr(config: SimulationConfig) -> SimulationTrace:
-    """State-feedback rollout, fixed or self-tuning actuator set.
-
-    The self-tuning mode reruns the greedy actuator selector every step from
-    the current state (optionally on least-squares identified dynamics once
-    enough transitions exist) and shares a DARE cache across steps.
+class _StateFeedback:
+    """Step policy of state feedback: u = K x with the infinite-horizon gain
+    of an actuator set that is held fixed or, self-tuning, chosen every step
+    by the greedy selector from the current state (optionally on
+    least-squares identified dynamics once enough transitions exist).  The
+    selector shares a DARE cache across steps.  The ledger prices x' P x.
     """
-    if config.feedback != "state":
-        raise ValueError("simulate_lqr is the state-feedback rollout")
-    system = config.system
-    n = system.n
-    A = system.A
-    Q = np.eye(n) if config.state_Q is None else np.asarray(config.state_Q, dtype=float)
-    rng_x0, rng_w, _, _ = _spawn_streams(config.seed)
-    W_factor = psd_factor(system.W)
-    warnings: list[str] = []
 
-    x = np.zeros((config.T_sim + 1, n))
-    x[0] = config.x0_std * rng_x0.standard_normal(n)
-    inputs: list[np.ndarray] = []
-    archs: list[ArchitectureSet] = []
-    ledger = CostLedger()
-    compute_time = np.zeros(config.T_sim)
-
-    if config.mode == "fixed":
-        tic = time.perf_counter()
-        K_fixed, P_fixed = _fixed_state_gain(system, config.initial_arch, Q,
-                                             config.state_R, config.diverged_policy,
-                                             warnings)
-        fixed_setup = time.perf_counter() - tic
-    dare_cache: dict = {}
-    input_hist: list[np.ndarray] = []
-    arch_prev = config.initial_arch
-
-    for t in range(config.T_sim):
+    def __init__(self, config: SimulationConfig, x, x_hat, rng_v, rng_arch,
+                 warnings: list[str]) -> None:
+        self.config, self.x = config, x
+        n = config.system.n
+        self.Q = np.eye(n) if config.state_Q is None else np.asarray(config.state_Q, dtype=float)
+        self.initial_arch = config.initial_arch
+        self.dare_cache: dict = {}
         if config.mode == "fixed":
-            arch_t = config.initial_arch
-            P_t = P_fixed
-            compute_time[t] = fixed_setup if t == 0 else 0.0
+            tic = time.perf_counter()
+            self.K, self.P = _fixed_state_gain(config.system, config.initial_arch, self.Q,
+                                               config.state_R, config.diverged_policy,
+                                               warnings)
+            self.setup_time = time.perf_counter() - tic
+
+    def commit(self, t: int, arch_prev, inputs, archs):
+        """(architecture, ledger entry, controller seconds) of step t."""
+        config, system, x = self.config, self.config.system, self.x
+        if config.mode == "fixed":
+            arch_t, P_t = config.initial_arch, self.P
+            seconds = self.setup_time if t == 0 else 0.0
         else:
-            if config.identify and t >= n:
+            if config.identify and t >= system.n:
                 # identified dynamics change every step, so the cross-step
                 # cache would be stale; use a per-step one
                 B_hist = [build_input_matrix(system, a) for a in archs]
-                A_hat = least_squares_identify(x[: t + 1], input_hist, B_hist).A_hat
-                step_cache: dict = {}
+                A_hat = least_squares_identify(x[: t + 1], inputs, B_hist).A_hat
+                cache: dict = {}
             else:
-                A_hat = None
-                step_cache = dare_cache
+                A_hat, cache = None, self.dare_cache
             tic = time.perf_counter()
-            arch_t, K, u = greedy_actuator_state_feedback(
-                system, x[t], Q, config.state_R, config.cardinality,
-                A_hat=A_hat, dare_cache=step_cache)
-            compute_time[t] = time.perf_counter() - tic
-            P_t = step_cache.get(arch_t.actuators)
+            arch_t, self.K, _ = greedy_actuator_state_feedback(
+                system, x[t], self.Q, config.state_R, config.cardinality,
+                A_hat=A_hat, dare_cache=cache)
+            seconds = time.perf_counter() - tic
+            P_t = cache.get(arch_t.actuators)
             if P_t is None or isinstance(P_t, Diverged):
                 P_t = math.inf
-        B_t = build_input_matrix(system, arch_t)
-        idx = list(arch_t.actuators)
-        Rb = _pool_input_cost(config.state_R, system.num_actuators)[np.ix_(idx, idx)]
-        w = W_factor @ rng_w.standard_normal(n)
-        # a diverging state overflows here; _divergence_warnings reports it once
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.mode == "fixed":
-                u = K_fixed @ x[t]
-            predicted = P_t if isinstance(P_t, float) else float(x[t] @ P_t @ x[t])
-            stage = float(x[t] @ Q @ x[t] + u @ Rb @ u)
-            x[t + 1] = A @ x[t] + B_t @ u + w
-        run, switch = _zeros_params(config.params, arch_t,
-                                    arch_prev if arch_prev is not None else arch_t)
-        ledger.entries.append(LedgerEntry(t=t, predicted=predicted, running=run,
-                                          switching=switch,
-                                          total_estimated=predicted + run + switch))
-        accumulate_true_cost(ledger, stage, run, switch, t)
-        inputs.append(u)
-        input_hist.append(u)
-        archs.append(arch_t)
-        arch_prev = arch_t
+        predicted = P_t if isinstance(P_t, float) else float(x[t] @ P_t @ x[t])
+        arch_prev = arch_prev if arch_prev is not None else arch_t
+        return arch_t, _ledger_entry(t, predicted, arch_t, arch_prev, config.params), seconds
 
-    warnings += _divergence_warnings(x)
-    return SimulationTrace(config=config, x=x, x_hat=x.copy(), inputs=inputs,
-                           archs=archs, ledger=ledger, compute_time=compute_time,
-                           warnings=warnings)
+    def act(self, t: int, arch_t: ArchitectureSet):
+        """(input, incurred stage cost) of step t."""
+        x_t = self.x[t]
+        u = self.K @ x_t
+        Rb = input_cost_block(self.config.state_R, arch_t.actuators)
+        return u, float(x_t @ self.Q @ x_t + u @ Rb @ u)
 
 
-def simulate_lqg(config: SimulationConfig) -> SimulationTrace:
-    """Output-feedback rollout with per-step architecture reoptimization.
-
-    Each step: commit an architecture (greedy swap from the previous one in
-    self-tuning mode, held fixed otherwise), synthesize certainty-equivalence
-    gains over the prediction horizon, apply u = K_0 x_hat, measure through
-    the committed sensor set, update the estimate and error covariance, then
-    propagate the true state.
+class _OutputFeedback:
+    """Step policy of output feedback: an architecture swapped greedily from
+    the previous one (self-tuning) or held fixed, certainty-equivalence gains
+    synthesized over the prediction horizon, u = -K_0 x_hat, and the estimate
+    and error covariance updated through the committed sensors.
     """
-    if config.feedback != "output":
-        raise ValueError("simulate_lqg is the output-feedback rollout")
+
+    def __init__(self, config: SimulationConfig, x, x_hat, rng_v, rng_arch,
+                 warnings: list[str]) -> None:
+        system = config.system
+        self.config, self.x, self.x_hat = config, x, x_hat
+        self.rng_v, self.warnings = rng_v, warnings
+        self.v_std = math.sqrt(system.v_var)
+        self.E = config.E0_scale * np.eye(system.n)
+        self.E_diverged = False
+        if config.initial_arch is not None:
+            self.initial_arch = config.initial_arch
+        else:
+            self.initial_arch = draw_feasible_architecture(
+                rng_arch, system.num_actuators, system.num_sensors, config.constraints)
+
+    def commit(self, t: int, arch_prev, inputs, archs):
+        """(architecture, ledger entry, controller seconds) of step t."""
+        config, system, params = self.config, self.config.system, self.config.params
+        tic = time.perf_counter()
+        if config.mode == "self_tuning":
+            arch_t, entry, self.gains = greedy_swap(system, arch_prev, self.x_hat[t], self.E,
+                                                    params, config.constraints)
+            entry.t = t
+        else:
+            arch_t = arch_prev
+            self.gains = synthesize_gains(system, arch_t, self.E, params)
+            predicted = predicted_cost_with_gains(system, arch_t, self.x_hat[t], self.gains,
+                                                  params)
+            entry = _ledger_entry(t, predicted, arch_t, arch_prev, params)
+        return arch_t, entry, time.perf_counter() - tic
+
+    def act(self, t: int, arch_t: ArchitectureSet):
+        """(input, incurred stage cost) of step t; also measures, updates the
+        estimate and steps the error covariance, reporting its divergence once."""
+        system, x, x_hat, gains = self.config.system, self.x, self.x_hat, self.gains
+        K0, L0 = gains.K[0], gains.L[0]
+        C_t = build_output_matrix(system, arch_t)
+        v = self.v_std * self.rng_v.standard_normal(C_t.shape[0])
+        u = -K0 @ x_hat[t]
+        y = C_t @ x[t] + v
+        stage = true_stage_cost(x[t], x_hat[t], arch_t, gains, self.config.params)
+        x_hat[t + 1] = estimator_update(system, arch_t, K0, L0, x_hat[t], y)
+        V_t = system.v_var * np.eye(C_t.shape[0])
+        _, self.E = kalman_step(system.A, C_t, system.W, V_t, self.E, check=False)
+        E_norm = np.linalg.norm(self.E)
+        if not self.E_diverged and not E_norm <= DARE_GUARD:
+            self.E_diverged = True
+            self.warnings.append(f"error covariance diverged at step {t + 1}: "
+                                 f"|E| = {E_norm:.3e} is past {DARE_GUARD:.0e}")
+        return u, stage
+
+
+def simulate(config: SimulationConfig) -> SimulationTrace:
+    """Closed-loop rollout, state or output feedback, fixed or self-tuning.
+
+    Each step the feedback's policy commits an architecture and prices it
+    (timed as the step's controller compute time), applies its input and
+    reports the incurred stage cost; the true state then moves under the
+    committed actuators and the process noise.  Every step runs under one
+    np.errstate: a diverging state or error covariance overflows silently
+    and is reported once in the trace warnings.
+    """
     system = config.system
-    params = config.params
-    constraints = config.constraints
     n = system.n
-    A = system.A
     rng_x0, rng_w, rng_v, rng_arch = _spawn_streams(config.seed)
     W_factor = psd_factor(system.W)
-    v_std = math.sqrt(system.v_var)
     warnings: list[str] = []
-
-    if config.initial_arch is not None:
-        arch_prev = config.initial_arch
-    else:
-        arch_prev = draw_feasible_architecture(rng_arch, system.num_actuators,
-                                               system.num_sensors, constraints)
-
     x = np.zeros((config.T_sim + 1, n))
     x_hat = np.zeros((config.T_sim + 1, n))
     x[0] = config.x0_std * rng_x0.standard_normal(n)
-    E = config.E0_scale * np.eye(n)
-    E_diverged = False
+    feedback = _StateFeedback if config.feedback == "state" else _OutputFeedback
+    policy = feedback(config, x, x_hat, rng_v, rng_arch, warnings)
     inputs: list[np.ndarray] = []
     archs: list[ArchitectureSet] = []
     ledger = CostLedger()
     compute_time = np.zeros(config.T_sim)
+    arch_prev = policy.initial_arch
 
     for t in range(config.T_sim):
-        tic = time.perf_counter()
-        # a diverged error covariance overflows here and in its update below;
-        # the update reports it once
         with np.errstate(over="ignore", invalid="ignore"):
-            if config.mode == "self_tuning":
-                arch_t, entry, gains = greedy_swap(system, arch_prev, x_hat[t], E,
-                                                   params, constraints)
-                entry.t = t
-            else:
-                arch_t = arch_prev
-                gains = synthesize_gains(system, arch_t, E, params)
-                predicted = predicted_cost_with_gains(system, arch_t, x_hat[t], gains,
-                                                      params)
-                run = running_cost(arch_t, params)
-                switch = switching_cost(arch_t, arch_prev, params)
-                entry = LedgerEntry(t=t, predicted=predicted, running=run,
-                                    switching=switch,
-                                    total_estimated=predicted + run + switch)
-        compute_time[t] = time.perf_counter() - tic
-        ledger.entries.append(entry)
-
-        K0 = gains.K[0]
-        L0 = gains.L[0]
-        C_t = build_output_matrix(system, arch_t)
-        B_t = build_input_matrix(system, arch_t)
-        v = v_std * rng_v.standard_normal(C_t.shape[0])
-        w = W_factor @ rng_w.standard_normal(n)
-        # a diverging state overflows here; _divergence_warnings reports it once
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = -K0 @ x_hat[t]
-            y = C_t @ x[t] + v
-            stage = true_stage_cost(x[t], x_hat[t], arch_t, gains, params)
-            x_hat[t + 1] = estimator_update(system, arch_t, K0, L0, x_hat[t], y)
-            x[t + 1] = A @ x[t] + B_t @ u + w
-        accumulate_true_cost(ledger, stage, entry.running, entry.switching, t)
-        V_t = system.v_var * np.eye(C_t.shape[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, E = kalman_step(A, C_t, system.W, V_t, E, check=False)
-            E_norm = np.linalg.norm(E)
-        if not E_diverged and not E_norm <= DARE_GUARD:
-            E_diverged = True
-            warnings.append(f"error covariance diverged at step {t + 1}: "
-                            f"|E| = {E_norm:.3e} is past {DARE_GUARD:.0e}")
-
+            arch_t, entry, compute_time[t] = policy.commit(t, arch_prev, inputs, archs)
+            ledger.entries.append(entry)
+            u, stage = policy.act(t, arch_t)
+            w = W_factor @ rng_w.standard_normal(n)
+            x[t + 1] = system.A @ x[t] + build_input_matrix(system, arch_t) @ u + w
+            accumulate_true_cost(ledger, stage, entry.running, entry.switching, t)
         inputs.append(u)
         archs.append(arch_t)
         arch_prev = arch_t
 
     warnings += _divergence_warnings(x)
+    if config.feedback == "state":
+        x_hat = x.copy()
     return SimulationTrace(config=config, x=x, x_hat=x_hat, inputs=inputs,
                            archs=archs, ledger=ledger, compute_time=compute_time,
                            warnings=warnings)
-
-
-def simulate(config: SimulationConfig) -> SimulationTrace:
-    """Dispatch on the feedback kind."""
-    if config.feedback == "state":
-        return simulate_lqr(config)
-    return simulate_lqg(config)
 
 
 @dataclass

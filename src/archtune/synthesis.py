@@ -111,10 +111,12 @@ def riccati_step(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
     P = A'P⁺A - A'P⁺B (B'P⁺B + R)^{-1} B'P⁺A + Q, symmetrized.
     A (0-column) B yields a (0, n) gain and the open-loop update A'P⁺A + Q.
     B may be a stack of k candidates, shape (k, n, m), with R of shape
-    (k, m, m) and P_next (n, n) or (k, n, n); K and P then come back
-    stacked, each slice equal to the one-candidate step on it.
+    (k, m, m), and P_next may be a stack (k, n, n) of successor values; if
+    either is stacked, K and P come back stacked, each slice equal to the
+    one-candidate step on it.
     """
     Bs, Rs, stacked = _as_stack(B, R, 2, ("B", "R"))
+    stacked = stacked or np.ndim(P_next) == 3
     if check:
         check_psd(Q, "Q")
         check_symmetric(Rs, "R")
@@ -395,11 +397,12 @@ def kalman_step(A: np.ndarray, C: np.ndarray, W: np.ndarray, V: np.ndarray,
     With no sensors the gain has zero columns and E_next = A E A' + W.
     A singular innovation covariance (possible only when V is singular)
     surfaces as a solver error.  C may be a stack of k candidates, shape
-    (k, l, n), with V of shape (k, l, l) and E (n, n) or (k, n, n); L and
-    E_next then come back stacked, each slice equal to the one-candidate
-    step on it.
+    (k, l, n), with V of shape (k, l, l), and E may be a stack (k, n, n) of
+    covariances; if either is stacked, L and E_next come back stacked, each
+    slice equal to the one-candidate step on it.
     """
     Cs, Vs, stacked = _as_stack(C, V, 1, ("C", "V"))
+    stacked = stacked or np.ndim(E) == 3
     if check:
         check_psd(W, "W")
         check_symmetric(Vs, "V")

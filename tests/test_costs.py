@@ -18,7 +18,7 @@ from archtune import (
 )
 from archtune.costs import (
     LedgerEntry,
-    active_input_cost,
+    input_cost_block,
     build_augmented,
     predicted_cost_with_gains,
     synthesize_gains,
@@ -76,8 +76,18 @@ class TestCostParameters:
                                 terminal_cost=np.eye(3), actuator_running=np.zeros(3),
                                 sensor_running=np.zeros(3), actuator_switching=np.zeros(3),
                                 sensor_switching=np.zeros(3), horizon=1)
-        block = active_input_cost(params, ArchitectureSet(actuators=(0, 2), sensors=()))
+        block = input_cost_block(params.input_cost, (0, 2))
         assert np.array_equal(block, np.diag([1.0, 3.0]))
+
+    def test_input_cost_block_forms(self):
+        R = np.diag([1.0, 2.0, 3.0])
+        stack = np.array([[0, 1], [1, 2]])
+        assert np.array_equal(input_cost_block(R, stack),
+                              [np.diag([1.0, 2.0]), np.diag([2.0, 3.0])])
+        assert np.array_equal(input_cost_block(2.0, (0, 2)), 2.0 * np.eye(2))
+        assert np.array_equal(input_cost_block(2.0, stack), [2.0 * np.eye(2)] * 2)
+        assert input_cost_block(R, ()).shape == (0, 0)
+        assert input_cost_block(2.0, ()).shape == (0, 0)
 
 
 class TestBuildAugmented:
@@ -286,25 +296,11 @@ class TestArchitectureCosts:
             assert switching_cost(a, b, params) == switching_cost(b, a, params)
             assert switching_cost(a, a, params) == 0.0
 
-    def test_signed_convention_antisymmetric(self, rng):
-        # the literal signed form credits deactivations, so swapping the
-        # arguments flips the sign
-        params = uniform_cost_parameters(2, 6, 6, horizon=1, switching=7.0)
-        from conftest import random_arch
-        for _ in range(30):
-            a = random_arch(rng, 6, 6)
-            b = random_arch(rng, 6, 6)
-            s_ab = switching_cost(a, b, params, signed=True)
-            s_ba = switching_cost(b, a, params, signed=True)
-            assert np.isclose(s_ab, -s_ba)
-
-    def test_signed_deactivation_earns_rate_back(self):
+    def test_deactivation_costs_the_rate(self):
         params = uniform_cost_parameters(2, 2, 2, horizon=1, switching=100.0)
         a_now = ArchitectureSet(actuators=(0,), sensors=())
         a_prev = ArchitectureSet(actuators=(0, 1), sensors=())
-        assert switching_cost(a_now, a_prev, params, signed=True) == -100.0
         assert switching_cost(a_now, a_prev, params) == 100.0
-
 
 class TestTotalEstimatedCost:
     def test_equals_predicted_when_rates_zero(self, rng):

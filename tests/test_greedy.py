@@ -13,7 +13,6 @@ from archtune import (
     LinearNetworkSystem,
     change_count,
     greedy_actuator_state_feedback,
-    greedy_reject,
     greedy_select,
     greedy_swap,
     least_squares_identify,
@@ -51,26 +50,31 @@ class TestChangeCount:
                 assert (change_count(a, b) == 0) == (a == b)
 
 
+def per_set(cost):
+    """Round metric pricing each candidate set on its own."""
+    return lambda cands: [cost(s) for s in cands]
+
+
 class TestGreedySelect:
     def test_one_step_argmin(self):
         table = {("a",): 1.0, ("b",): 2.0}
-        assert greedy_select(("a", "b"), lambda s: table[s], 1) == ("a",)
+        assert greedy_select(("a", "b"), per_set(table.get), 1) == ("a",)
 
     def test_saturation_returns_full_pool(self):
-        assert greedy_select(("a", "b", "c"), lambda s: 0.0, 3) == ("a", "b", "c")
+        assert greedy_select(("a", "b", "c"), per_set(lambda s: 0.0), 3) == ("a", "b", "c")
 
     def test_known_suboptimal_instance(self):
         # greedy grows {a} -> {a,b} while the true optimum is {b,c}
         table = {("a",): 1.0, ("b",): 2.0, ("c",): 3.0,
                  ("a", "b"): 0.0, ("a", "c"): 4.0, ("b", "c"): -5.0}
-        got = greedy_select(("a", "b", "c"), lambda s: table[s], 2)
+        got = greedy_select(("a", "b", "c"), per_set(table.get), 2)
         assert got == ("a", "b")
         best = min(itertools.combinations(("a", "b", "c"), 2), key=lambda s: table[s])
         assert best == ("b", "c")
 
     def test_oversized_bound_rejected(self):
         with pytest.raises(ValueError):
-            greedy_select(("a",), lambda s: 0.0, 2)
+            greedy_select(("a",), per_set(lambda s: 0.0), 2)
 
     def test_modular_metric_is_exact(self, rng):
         # additive weights make greedy provably optimal; compare exhaustively
@@ -83,32 +87,30 @@ class TestGreedySelect:
             def metric(s):
                 return float(sum(w[i] for i in s))
 
-            got = greedy_select(pool, metric, k)
+            got = greedy_select(pool, per_set(metric), k)
             best = min(itertools.combinations(pool, k), key=metric)
             assert metric(got) == pytest.approx(metric(best))
 
+    def test_one_round_per_element_in_pool_order(self):
+        # candidates keep pool order, not sorted order; ties keep the earliest
+        rounds = []
 
-class TestGreedyReject:
-    def test_already_feasible(self):
-        calls = []
+        def metric(cands):
+            rounds.append(cands)
+            return [0.0] * len(cands)
 
-        def metric(s):
-            calls.append(s)
-            return 0.0
+        assert greedy_select((3, 1, 2), metric, 2) == (3, 1)
+        assert rounds == [[(3,), (1,), (2,)], [(3, 1), (3, 2)]]
 
-        assert greedy_reject(("a", "b"), metric, 2) == ("a", "b")
-        assert calls == []
+    @pytest.mark.parametrize("first", [math.nan, math.inf])
+    def test_non_finite_never_beats_finite(self, first):
+        # the first candidate is priced first, yet a later finite one wins
+        costs = {"a": first, "b": 2.0, "c": 1.0}
+        assert greedy_select(("a", "b", "c"), per_set(lambda s: costs[s[0]]), 1) == ("c",)
 
-    def test_single_removal(self):
-        table = {("a",): 3.0, ("b",): 1.0}
-        assert greedy_reject(("a", "b"), lambda s: table[s], 1) == ("b",)
-
-    def test_all_infinite_frontier_removes_lowest_index(self):
-        # every strict subset costs +inf; ties resolve to the earliest element
-        def metric(s):
-            return 0.0 if len(s) == 3 else math.inf
-
-        assert greedy_reject((0, 1, 2), metric, 1) == (2,)
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_no_finite_cost_takes_the_earliest(self, cost):
+        assert greedy_select(("a", "b", "c"), per_set(lambda s: cost), 2) == ("a", "b")
 
 
 CONS = ArchitectureConstraints(act_min=1, act_max=2, sen_min=1, sen_max=3,
@@ -446,6 +448,17 @@ class TestGreedyActuatorStateFeedback:
         assert arch.actuators == (0, 1)
         A_cl = sys_.A + np.eye(2) @ K
         assert np.max(np.abs(np.linalg.eigvals(A_cl))) < 1.0
+
+
+    @pytest.mark.parametrize("x", [np.full(4, math.nan), np.full(4, math.inf),
+                                   np.array([0.0, math.inf, 1.0, 0.0])],
+                             ids=["all_nan", "all_inf", "one_inf"])
+    def test_non_finite_state_takes_the_lowest_indices(self, x):
+        sys_ = canonical_system(np.diag([2.0, 0.5, 0.9, 1.1]))
+        with np.errstate(invalid="ignore", over="ignore"):
+            arch, K, _ = greedy_actuator_state_feedback(sys_, x, np.eye(4), np.eye(4), 3)
+        assert arch.actuators == (0, 1, 2)
+        assert K.shape == (3, 4)
 
 
 class TestGreedyReplay:

@@ -16,12 +16,10 @@ from archtune import (
     compare_runs,
     running_cost,
     simulate,
-    simulate_lqg,
-    simulate_lqr,
     switching_cost,
     uniform_cost_parameters,
 )
-from archtune.costs import active_input_cost
+from archtune.costs import input_cost_block
 from archtune.network import build_input_matrix, satisfies_constraints
 from archtune.simulation import draw_feasible_architecture
 
@@ -124,14 +122,6 @@ class TestConfigValidation:
         tr = simulate(SimulationConfig(system=ok, E0_scale=1.0, **common))
         assert np.all(np.isfinite(tr.x_hat))
 
-    def test_dispatch_guards(self):
-        cfg = lqr_fixed_config(ArchitectureSet((0,), ()))
-        with pytest.raises(ValueError):
-            simulate_lqg(cfg)
-        out_cfg = lqg_config("fixed", initial_arch=ArchitectureSet((0,), (0,)))
-        with pytest.raises(ValueError):
-            simulate_lqr(out_cfg)
-
 
 class TestDeterminism:
     def test_lqr_bitwise_repeatable(self):
@@ -215,7 +205,7 @@ class TestLedgerReplay:
         for t in range(cfg.T_sim):
             arch = tr.archs[t]
             u = tr.inputs[t]
-            R1a = active_input_cost(params, arch)
+            R1a = input_cost_block(params.input_cost, arch.actuators)
             stage = float(tr.x[t] @ Q @ tr.x[t] + u @ R1a @ u)
             run = running_cost(arch, params)
             switch = switching_cost(arch, prev, params) if prev is not None else \
@@ -241,7 +231,7 @@ class TestLedgerReplay:
         assert tr.archs[0] != cfg.initial_arch
         assert e0.switching > 0
         stage0 = float(tr.x[0] @ params.state_cost @ tr.x[0]
-                       + tr.inputs[0] @ active_input_cost(params, tr.archs[0])
+                       + tr.inputs[0] @ input_cost_block(params.input_cost, tr.archs[0].actuators)
                        @ tr.inputs[0])
         assert e0.cumulative_true == pytest.approx(stage0 + e0.running, rel=1e-12)
 
@@ -303,11 +293,21 @@ class TestDivergenceWarning:
         assert diverged == [f"state diverged at step {first}: |x| = "
                             f"{np.linalg.norm(tr.x[first]):.3e} is past 1e+12"]
 
-    def test_overflow_past_the_guard_stays_quiet(self):
+    @pytest.mark.parametrize("mode", ["fixed", "self_tuning"])
+    def test_overflow_past_the_guard_stays_quiet(self, mode):
         # 400 steps take the state past the float range: numpy's overflow
         # and invalid-value warnings are replaced by the one trace warning
-        cfg = lqr_fixed_config(ArchitectureSet((1,), ()), A=np.diag([10.0, 0.5]),
-                               T_sim=400)
+        if mode == "fixed":
+            cfg = lqr_fixed_config(ArchitectureSet((1,), ()), A=np.diag([10.0, 0.5]),
+                                   T_sim=400)
+        else:
+            # the one actuator cannot reach the first node; the selector
+            # runs every step on the overflowing state
+            sys_ = LinearNetworkSystem(A=np.diag([10.0, 0.5]),
+                                       actuator_pool=np.array([[0.0], [1.0]]),
+                                       sensor_pool=np.eye(2), W=0.1 * np.eye(2))
+            cfg = SimulationConfig(system=sys_, mode="self_tuning", feedback="state",
+                                   T_sim=400, seed=7, cardinality=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             tr = simulate(cfg)

@@ -357,6 +357,12 @@ class TestStackedRecursions:
                 K_j, P_j = riccati_step(A, Bs[j], Q, Rs[j],
                                         P_next if P_next.ndim == 2 else P_next[j])
                 assert np.array_equal(K[j], K_j) and np.array_equal(P_out[j], P_j)
+        # one input matrix with a stack of successor values
+        K, P_out = riccati_step(A, Bs[0], Q, Rs[0], Ps)
+        assert K.shape == (k, m, n) and P_out.shape == (k, n, n)
+        for j in range(k):
+            K_j, P_j = riccati_step(A, Bs[0], Q, Rs[0], Ps[j])
+            assert np.array_equal(K[j], K_j) and np.array_equal(P_out[j], P_j)
 
     @pytest.mark.parametrize("n, m, l, k", STACK_SHAPES)
     def test_kalman_step(self, n, m, l, k):
@@ -368,6 +374,12 @@ class TestStackedRecursions:
                 L_j, E_j = kalman_step(A, Cs[j], W, Vs[j],
                                        E_now if E_now.ndim == 2 else E_now[j])
                 assert np.array_equal(L[j], L_j) and np.array_equal(E_next[j], E_j)
+        # one output matrix with a stack of covariances
+        L, E_next = kalman_step(A, Cs[0], W, Vs[0], Es)
+        assert L.shape == (k, n, l) and E_next.shape == (k, n, n)
+        for j in range(k):
+            L_j, E_j = kalman_step(A, Cs[0], W, Vs[0], Es[j])
+            assert np.array_equal(L[j], L_j) and np.array_equal(E_next[j], E_j)
 
     @pytest.mark.parametrize("n, m, l, k", STACK_SHAPES)
     def test_lqr_backward(self, n, m, l, k):
