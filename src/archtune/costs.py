@@ -37,6 +37,7 @@ __all__ = [
     "true_stage_cost",
     "running_cost",
     "switching_cost",
+    "ledger_entry",
     "total_estimated_cost",
     "accumulate_true_cost",
 ]
@@ -304,17 +305,24 @@ class CostLedger:
         return len(self.entries)
 
 
+def ledger_entry(predicted: float, arch: ArchitectureSet, arch_prev: ArchitectureSet,
+                 params: CostParameters | None, t: int | None = None) -> LedgerEntry:
+    """Estimation side of a ledger entry for an architecture chosen after
+    arch_prev: total = predicted + running + switching.  Without cost
+    parameters the architecture itself costs nothing."""
+    run = 0.0 if params is None else running_cost(arch, params)
+    switch = 0.0 if params is None else switching_cost(arch, arch_prev, params)
+    return LedgerEntry(t=t, predicted=predicted, running=run, switching=switch,
+                       total_estimated=predicted + run + switch)
+
+
 def total_estimated_cost(system: LinearNetworkSystem, arch: ArchitectureSet,
                          arch_prev: ArchitectureSet, x_hat: np.ndarray,
                          E_t: np.ndarray, params: CostParameters) -> tuple[float, LedgerEntry]:
     """Predicted control cost plus running and switching costs, with breakdown."""
-    predicted, _ = predicted_cost(system, arch, x_hat, E_t, params)
-    run = running_cost(arch, params)
-    switch = switching_cost(arch, arch_prev, params)
-    total = predicted + run + switch
-    entry = LedgerEntry(predicted=predicted, running=run, switching=switch,
-                        total_estimated=total)
-    return total, entry
+    entry = ledger_entry(predicted_cost(system, arch, x_hat, E_t, params)[0], arch,
+                         arch_prev, params)
+    return entry.total_estimated, entry
 
 
 def accumulate_true_cost(ledger: CostLedger, stage: float, running: float,

@@ -20,18 +20,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._lin import check_psd, mT
-from .costs import (CostParameters, LedgerEntry, input_cost_block, running_cost,
+from .costs import (CostParameters, input_cost_block, ledger_entry, running_cost,
                     switching_cost, synthesize_gains)
 from .network import (ArchitectureConstraints, ArchitectureSet, LinearNetworkSystem,
                       satisfies_constraints)
-from .synthesis import (Diverged, GainSchedule, factored_kalman, factored_lqr,
-                        solve_dare)
+from .synthesis import Diverged, factored_kalman, factored_lqr, solve_dare
 
 __all__ = [
     "Choice",
     "NO_UPDATE",
     "apply_choice",
     "change_count",
+    "arch_change_count",
     "greedy_select",
     "selection_choices",
     "rejection_choices",
@@ -81,6 +81,12 @@ def change_count(s1, s2) -> int:
     """Swap distance between index sets: max of the two difference cardinalities."""
     a, b = set(s1), set(s2)
     return max(len(a - b), len(b - a))
+
+
+def arch_change_count(arch1: ArchitectureSet, arch2: ArchitectureSet) -> int:
+    """Architecture change count: actuator changes plus sensor changes."""
+    return (change_count(arch1.actuators, arch2.actuators)
+            + change_count(arch1.sensors, arch2.sensors))
 
 
 def greedy_select(choice_pool: Sequence, metric: Callable, L_max: int):
@@ -201,8 +207,7 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
     J = c - 2 sum tr(G_tau Z_tau).
 
     Returns evaluate, mapping a list of architectures to their
-    (total, ledger entry) pairs, and schedule, the gain schedule of an
-    architecture, built by synthesize_gains as for a fixed architecture.
+    (total, predicted) pairs, total = predicted + running + switching.
     """
     price_lqr = factored_lqr(system.A, params.state_cost, params.terminal_cost,
                              system.W, x_hat, params.horizon)
@@ -247,19 +252,13 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
                 G, base = lqr_cache[arch.actuators]
                 # tr(G (Z + Z')) = 2 tr(G Z), G being symmetric
                 predicted = base - 2.0 * float(np.vdot(G, kal_cache[arch.sensors]))
-                run = running_cost(arch, params)
-                switch = switching_cost(arch, arch_init, params)
-                total = predicted + run + switch
-                entry = LedgerEntry(predicted=predicted, running=run, switching=switch,
-                                    total_estimated=total)
-                hit = full_cache[key] = (total, entry)
+                total = (predicted + running_cost(arch, params)
+                         + switching_cost(arch, arch_init, params))
+                hit = full_cache[key] = (total, predicted)
             results.append(hit)
         return results
 
-    def schedule(arch: ArchitectureSet) -> GainSchedule:
-        return synthesize_gains(system, arch, E_t, params)
-
-    return evaluate, schedule
+    return evaluate
 
 
 def _pick_choice(evaluate, arch: ArchitectureSet, choices: list[Choice]):
@@ -275,6 +274,24 @@ def _pick_choice(evaluate, arch: ArchitectureSet, choices: list[Choice]):
     return best[0], best[1]
 
 
+def _forced_subsequence(evaluate, rule, arch: ArchitectureSet,
+                        constraints: ArchitectureConstraints, M: int, L: int,
+                        n_prime: int) -> ArchitectureSet:
+    """One forced subsequence of rule (selection_choices or rejection_choices):
+    apply the priced argmin of its choice list until no-update wins, the list
+    is empty, or the architecture is 2 N' changes away from where it began."""
+    start, changes = arch, 0
+    while changes < 2 * n_prime:
+        choices = rule(arch, constraints, M, L, n_prime)
+        if not choices:
+            break
+        ch, arch = _pick_choice(evaluate, arch, choices)  # no-update keeps arch
+        if ch.kind == "no_update":
+            break
+        changes = arch_change_count(start, arch)
+    return arch
+
+
 def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
                 x_hat: np.ndarray, E_t: np.ndarray, params: CostParameters,
                 constraints: ArchitectureConstraints):
@@ -282,12 +299,13 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
 
     The metric is the total estimated cost (predicted + running + switching)
     with switching measured against arch_init, the architecture committed at
-    the previous time step.  Each selection subsequence accepts at most
-    2 N' changes (change_count against the subsequence entry), then a
-    rejection subsequence prunes back within the base bounds.  The outer
-    loop ends when a full pass makes no net change or the total change
-    budget 2 N is reached (max_changes None = unbounded).  Returns
-    (architecture, its ledger entry, its gain schedule).
+    the previous time step.  Each pass runs one forced subsequence over
+    selection_choices, then one over rejection_choices that prunes back
+    within the base bounds; each accepts at most 2 N' changes
+    (arch_change_count against the subsequence entry).  The outer loop ends
+    when a full pass makes no net change or the total change budget 2 N is
+    reached (max_changes None = unbounded).  Returns (architecture, its
+    ledger entry, its gain schedule from synthesize_gains).
     """
     M, Lp = system.num_actuators, system.num_sensors
     if constraints.act_max > M or constraints.sen_max > Lp:
@@ -299,44 +317,23 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
     check_psd(E_t, "E_t")
     n_prime = constraints.max_per_subsequence
     N = constraints.max_changes
-    evaluate, schedule = _swap_metric_factory(system, arch_init, x_hat, E_t, params)
+    evaluate = _swap_metric_factory(system, arch_init, x_hat, E_t, params)
 
     current = arch_init
     n_count = 0
     while N is None or n_count < 2 * N:
         pass_ref = current
-        n_sel = 0
-        while n_sel < 2 * n_prime:
-            choices = selection_choices(current, constraints, M, Lp, n_prime)
-            if not choices:
-                break
-            ch, cand = _pick_choice(evaluate, current, choices)
-            current = cand                      # applied before the no-update break
-            if ch.kind == "no_update":
-                break
-            n_sel = (change_count(pass_ref.actuators, current.actuators)
-                     + change_count(pass_ref.sensors, current.sensors))
-        rej_ref = current
-        n_rej = 0
-        while n_rej < 2 * n_prime:
-            choices = rejection_choices(current, constraints, M, Lp, n_prime)
-            if not choices:
-                break
-            ch, cand = _pick_choice(evaluate, current, choices)
-            if ch.kind == "no_update":          # checked before applying
-                break
-            current = cand
-            n_rej = (change_count(rej_ref.actuators, current.actuators)
-                     + change_count(rej_ref.sensors, current.sensors))
-        if (change_count(pass_ref.actuators, current.actuators)
-                + change_count(pass_ref.sensors, current.sensors)) == 0:
+        for rule in (selection_choices, rejection_choices):
+            current = _forced_subsequence(evaluate, rule, current, constraints, M, Lp,
+                                          n_prime)
+        if arch_change_count(pass_ref, current) == 0:
             break
-        n_count = (change_count(arch_init.actuators, current.actuators)
-                   + change_count(arch_init.sensors, current.sensors))
+        n_count = arch_change_count(arch_init, current)
     if not satisfies_constraints(current, constraints):
         raise AssertionError("swap returned an infeasible architecture")
-    _, entry = evaluate([current])[0]
-    return current, entry, schedule(current)
+    _, predicted = evaluate([current])[0]
+    return (current, ledger_entry(predicted, current, arch_init, params),
+            synthesize_gains(system, current, E_t, params))
 
 
 @dataclass(frozen=True)

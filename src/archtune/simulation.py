@@ -19,17 +19,15 @@ from ._lin import check_pd, psd_factor
 from .costs import (
     CostLedger,
     CostParameters,
-    LedgerEntry,
     accumulate_true_cost,
     input_cost_block,
+    ledger_entry,
     predicted_cost_with_gains,
-    running_cost,
-    switching_cost,
     synthesize_gains,
     true_stage_cost,
 )
 from .greedy import (
-    change_count,
+    arch_change_count,
     greedy_actuator_state_feedback,
     greedy_swap,
     least_squares_identify,
@@ -122,6 +120,12 @@ class SimulationConfig:
                     raise ValueError("self-tuning state feedback needs cardinality >= 1")
                 if self.cardinality > self.system.num_actuators:
                     raise ValueError("cardinality exceeds the actuator pool")
+            R, M = np.asarray(self.state_R, dtype=float), self.system.num_actuators
+            if R.ndim:
+                if R.shape != (M, M):
+                    raise ValueError(f"state_R must be a scalar or {M}x{M} over the "
+                                     f"actuator pool, got shape {R.shape}")
+                check_pd(R, "state_R")
         if self.initial_arch is not None:
             M, L = self.system.num_actuators, self.system.num_sensors
             if any(a >= M for a in self.initial_arch.actuators):
@@ -156,11 +160,8 @@ class SimulationTrace:
 
     def per_step_changes(self) -> list[int]:
         """Architecture change counts between consecutive steps (0 at t=0)."""
-        counts = [0]
-        for prev, cur in zip(self.archs, self.archs[1:]):
-            counts.append(change_count(set(prev.actuators), set(cur.actuators))
-                          + change_count(set(prev.sensors), set(cur.sensors)))
-        return counts
+        return [0] + [arch_change_count(prev, cur)
+                      for prev, cur in zip(self.archs, self.archs[1:])]
 
 
 def draw_feasible_architecture(rng: np.random.Generator, num_actuators: int,
@@ -179,16 +180,6 @@ def draw_feasible_architecture(rng: np.random.Generator, num_actuators: int,
 def _spawn_streams(seed: int):
     children = np.random.SeedSequence(seed).spawn(4)
     return tuple(np.random.default_rng(c) for c in children)
-
-
-def _ledger_entry(t: int, predicted: float, arch: ArchitectureSet,
-                  arch_prev: ArchitectureSet, params: CostParameters | None) -> LedgerEntry:
-    """Estimated costs of a committed architecture; without cost parameters
-    the architecture itself costs nothing."""
-    run = 0.0 if params is None else running_cost(arch, params)
-    switch = 0.0 if params is None else switching_cost(arch, arch_prev, params)
-    return LedgerEntry(t=t, predicted=predicted, running=run, switching=switch,
-                       total_estimated=predicted + run + switch)
 
 
 def _divergence_warnings(x: np.ndarray) -> list[str]:
@@ -271,7 +262,7 @@ class _StateFeedback:
                 P_t = math.inf
         predicted = P_t if isinstance(P_t, float) else float(x[t] @ P_t @ x[t])
         arch_prev = arch_prev if arch_prev is not None else arch_t
-        return arch_t, _ledger_entry(t, predicted, arch_t, arch_prev, config.params), seconds
+        return arch_t, ledger_entry(predicted, arch_t, arch_prev, config.params, t), seconds
 
     def act(self, t: int, arch_t: ArchitectureSet):
         """(input, incurred stage cost) of step t."""
@@ -315,7 +306,7 @@ class _OutputFeedback:
             self.gains = synthesize_gains(system, arch_t, self.E, params)
             predicted = predicted_cost_with_gains(system, arch_t, self.x_hat[t], self.gains,
                                                   params)
-            entry = _ledger_entry(t, predicted, arch_t, arch_prev, params)
+            entry = ledger_entry(predicted, arch_t, arch_prev, params, t)
         return arch_t, entry, time.perf_counter() - tic
 
     def act(self, t: int, arch_t: ArchitectureSet):

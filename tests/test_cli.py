@@ -144,6 +144,16 @@ class TestValidateExperiment:
         assert len(diags) == 1
         assert "state_Q" in diags[0]
 
+    def test_state_R_diagnosed_by_path(self):
+        doc = minimal_doc()
+        doc["runs"][0]["state_R"] = [[1.0]]
+        assert validate_experiment(doc) == [
+            "runs[0].state_R: expected shape (2,2), got (1, 1)"]
+        doc["runs"][0]["state_R"] = [[1.0, 0.0], [0.0, -1.0]]
+        diags = validate_experiment(doc)
+        assert len(diags) == 1
+        assert diags[0].startswith("runs[0]: state_R is not positive definite")
+
     def test_structural_error_reported_once(self):
         diags = validate_experiment({"name": "x", "runs": "nope"})
         assert diags == ["runs: must be a list"]

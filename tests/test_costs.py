@@ -20,6 +20,7 @@ from archtune.costs import (
     LedgerEntry,
     input_cost_block,
     build_augmented,
+    ledger_entry,
     predicted_cost_with_gains,
     synthesize_gains,
 )
@@ -309,6 +310,11 @@ class TestTotalEstimatedCost:
         total, entry = total_estimated_cost(sys_, arch, arch, x_hat, E0, params)
         assert np.isclose(total, J)
         assert entry.running == 0.0 and entry.switching == 0.0
+        # without cost parameters even a changed architecture costs nothing
+        for t in (None, 5):
+            bare = ledger_entry(J, arch, ArchitectureSet((), ()), None, t)
+            assert (bare.t, bare.running, bare.switching) == (t, 0.0, 0.0)
+            assert bare.predicted == bare.total_estimated == J
 
     def test_scalar_with_running(self):
         sys_ = scalar_system(a=1.0, w=0.0, v=1.0)
@@ -319,6 +325,9 @@ class TestTotalEstimatedCost:
         assert np.isclose(total, 501.5)
         assert np.isclose(entry.predicted, 1.5)
         assert entry.switching == 0.0
+        assert entry.t is None
+        direct = ledger_entry(entry.predicted, ARCH1, ARCH1, params, t=3)
+        assert (direct.t, direct.running, direct.total_estimated) == (3, 500.0, total)
 
     def test_no_switch_contribution_when_unchanged(self):
         sys_ = scalar_system()

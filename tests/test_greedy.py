@@ -17,6 +17,8 @@ from archtune import (
     greedy_swap,
     least_squares_identify,
     predicted_cost,
+    running_cost,
+    switching_cost,
     synthesize_gains,
     total_estimated_cost,
     uniform_cost_parameters,
@@ -216,7 +218,79 @@ def _swap_instance():
     return sys_, params, cons
 
 
+def _chain_instance():
+    """Six decoupled nodes, five of them unstable, each reached only by its
+    own actuator and sensor."""
+    n = 6
+    A = np.diag([1.5, 1.4, 1.3, 1.2, 1.1, 0.5])
+    sys_ = LinearNetworkSystem(A=A, actuator_pool=np.eye(n), sensor_pool=np.eye(n),
+                               W=np.eye(n), v_var=0.1)
+    params = uniform_cost_parameters(n, n, n, horizon=8)
+    init = ArchitectureSet(actuators=(5,), sensors=tuple(range(n)))
+    return sys_, params, init, np.ones(n), np.eye(n)
+
+
+def _chain_constraints(max_changes):
+    return ArchitectureConstraints(1, 5, 1, 6, max_changes=max_changes,
+                                   max_per_subsequence=1)
+
+
+def _choice_code(ch):
+    """Compact choice label: '+a0' adds actuator 0, '-s3' removes sensor 3,
+    '=' is no-update."""
+    if ch.kind == "no_update":
+        return "="
+    sign = "+" if ch.kind.startswith("add") else "-"
+    return f"{sign}{ch.kind.split('_')[1][0]}{ch.index}"
+
+
+# Every choice list the swap prices, in order, with the architecture it
+# returns; a change to the subsequence loop's control flow shows up here.
+_PRICED_LISTS = {
+    "two_node": (
+        ["+a0 +s0", "+s0", "-a0 -a1 -s0 -s1", "-a0 -a1",
+         "+a1 +s1", "+s1", "-a0 -a1 -s0 -s1", "-a0 -a1"],
+        ((0,), (0,))),
+    "chain_free": (
+        ["+a0 +a1 +a2 +a3 +a4", "+a1 +a2 +a3 +a4 =",
+         "-a0 -a1 -a5 -s0 -s1 -s2 -s3 -s4 -s5 =",
+         "+a2 +a3 +a4 =", "+a3 +a4 =",
+         "-a0 -a1 -a2 -a3 -a5 -s0 -s1 -s2 -s3 -s4 -s5 =",
+         "+a4 =", "=", "-a0 -a1 -a2 -a3 -a4 -a5",
+         "-a0 -a1 -a2 -a3 -a4 -s0 -s1 -s2 -s3 -s4 -s5 =",
+         "+a5 =", "=", "-a0 -a1 -a2 -a3 -a4 -a5",
+         "-a0 -a1 -a2 -a3 -a4 -s0 -s1 -s2 -s3 -s4 -s5 ="],
+        ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5))),
+    "chain_capped": (
+        ["+a0 +a1 +a2 +a3 +a4", "+a1 +a2 +a3 +a4 =",
+         "-a0 -a1 -a5 -s0 -s1 -s2 -s3 -s4 -s5 ="],
+        ((0, 1, 5), (0, 1, 2, 3, 4, 5))),
+}
+
+
 class TestGreedySwap:
+    @pytest.mark.parametrize("case", sorted(_PRICED_LISTS))
+    def test_prices_the_same_choice_lists(self, case, monkeypatch):
+        if case == "two_node":
+            sys_, params, cons = _swap_instance()
+            init = ArchitectureSet(actuators=(1,), sensors=(1,))
+            x_hat, E = np.array([3.0, 1.0]), np.eye(2)
+        else:
+            sys_, params, init, x_hat, E = _chain_instance()
+            cons = _chain_constraints(None if case == "chain_free" else 1)
+        priced = []
+        pick = greedy_mod._pick_choice
+
+        def recorded(evaluate, arch, choices):
+            priced.append(" ".join(_choice_code(ch) for ch in choices))
+            return pick(evaluate, arch, choices)
+
+        monkeypatch.setattr(greedy_mod, "_pick_choice", recorded)
+        arch, _, _ = greedy_swap(sys_, init, x_hat, E, params, cons)
+        lists, (acts, sens) = _PRICED_LISTS[case]
+        assert priced == lists
+        assert arch == ArchitectureSet(actuators=acts, sensors=sens)
+
     def test_fixed_point_returns_init(self, rng):
         # huge switching rates make any move strictly worse than staying
         sys_, _, cons = _swap_instance()
@@ -238,6 +312,23 @@ class TestGreedySwap:
                    key=lambda c: total_estimated_cost(sys_, c, init, x_hat, E, params)[0])
         assert arch == best
         assert arch.actuators == (0,) and arch.sensors == (0,)
+
+    def test_commits_the_gains_and_entry_of_its_architecture(self):
+        sys_, _, cons = _swap_instance()
+        params = uniform_cost_parameters(2, 2, 2, horizon=8, running=0.4, switching=0.9)
+        init = ArchitectureSet(actuators=(1,), sensors=(1,))
+        x_hat, E = np.array([3.0, 1.0]), np.eye(2)
+        arch, entry, gains = greedy_swap(sys_, init, x_hat, E, params, cons)
+        assert arch != init
+        synthesized = synthesize_gains(sys_, arch, E, params)
+        for part in ("K", "P", "L", "E"):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(getattr(gains, part), getattr(synthesized, part), strict=True))
+        _, dense = total_estimated_cost(sys_, arch, init, x_hat, E, params)
+        assert entry.running == dense.running and entry.switching == dense.switching
+        assert entry.switching > 0.0
+        assert entry.predicted == pytest.approx(dense.predicted, rel=1e-12, abs=0.0)
+        assert entry.total_estimated == entry.predicted + entry.running + entry.switching
 
     def test_monotone_improvement_and_feasibility(self, rng):
         for trial in range(15):
@@ -264,20 +355,9 @@ class TestGreedySwap:
 
     def test_change_budget_respected(self):
         # a chain of useful actuators: unbounded keeps adding, a budget stops it
-        n = 6
-        A = np.diag([1.5, 1.4, 1.3, 1.2, 1.1, 0.5])
-        sys_ = LinearNetworkSystem(A=A, actuator_pool=np.eye(n), sensor_pool=np.eye(n),
-                                   W=np.eye(n), v_var=0.1)
-        params = uniform_cost_parameters(n, n, n, horizon=8)
-        init = ArchitectureSet(actuators=(5,), sensors=tuple(range(n)))
-        x_hat = np.ones(n)
-        E = np.eye(n)
-        free_cons = ArchitectureConstraints(1, 5, 1, 6, max_changes=None,
-                                            max_per_subsequence=1)
-        capped_cons = ArchitectureConstraints(1, 5, 1, 6, max_changes=1,
-                                              max_per_subsequence=1)
-        free_arch, _, _ = greedy_swap(sys_, init, x_hat, E, params, free_cons)
-        capped_arch, _, _ = greedy_swap(sys_, init, x_hat, E, params, capped_cons)
+        sys_, params, init, x_hat, E = _chain_instance()
+        free_arch, _, _ = greedy_swap(sys_, init, x_hat, E, params, _chain_constraints(None))
+        capped_arch, _, _ = greedy_swap(sys_, init, x_hat, E, params, _chain_constraints(1))
         free_changes = (change_count(init.actuators, free_arch.actuators)
                         + change_count(init.sensors, free_arch.sensors))
         capped_changes = (change_count(init.actuators, capped_arch.actuators)
@@ -325,15 +405,12 @@ class TestSwapMetric:
         archs = _feasible_archs(M, L, cons)
         x_hat = 2.0 * rng.standard_normal(n)
         E_t = random_psd(rng, n, ridge=0.2)
-        evaluate, schedule = _swap_metric_factory(system, archs[0], x_hat, E_t, params)
-        for arch, (total, entry) in zip(archs, evaluate(archs)):
-            dense, gains = predicted_cost(system, arch, x_hat, E_t, params)
-            assert entry.predicted == pytest.approx(dense, rel=1e-12, abs=0.0)
-            assert total == entry.total_estimated
-            ours = schedule(arch)
-            for part in ("K", "P", "L", "E"):
-                assert all(np.array_equal(a, b) for a, b in
-                           zip(getattr(ours, part), getattr(gains, part), strict=True))
+        evaluate = _swap_metric_factory(system, archs[0], x_hat, E_t, params)
+        for arch, (total, predicted) in zip(archs, evaluate(archs)):
+            dense, _ = predicted_cost(system, arch, x_hat, E_t, params)
+            assert predicted == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert total == (predicted + running_cost(arch, params)
+                             + switching_cost(arch, archs[0], params))
 
     def test_repeated_lists_reuse_the_caches(self, monkeypatch):
         sys_, params, _ = _swap_instance()
@@ -355,7 +432,7 @@ class TestSwapMetric:
         monkeypatch.setattr(greedy_mod, "factored_kalman",
                             counted("kalman", greedy_mod.factored_kalman))
         archs = _feasible_archs(2, 2, ArchitectureConstraints(0, 2, 0, 2))
-        evaluate, _ = _swap_metric_factory(sys_, archs[0], np.ones(2), np.eye(2), params)
+        evaluate = _swap_metric_factory(sys_, archs[0], np.ones(2), np.eye(2), params)
         first = evaluate(archs)
         # one stacked call per set size: sizes 0, 1 and 2 on each side
         assert calls == {"lqr": 3, "kalman": 3}

@@ -89,6 +89,20 @@ class TestConfigValidation:
             SimulationConfig(system=sys_, mode="self_tuning", feedback="state",
                              T_sim=5, seed=0, cardinality=3)
 
+    @pytest.mark.parametrize("mode", ["fixed", "self_tuning"])
+    def test_state_R_sized_over_the_pool_and_definite(self, mode):
+        # three actuators in the pool, two of them active in the fixed run
+        common = dict(system=canonical_system(np.diag([1.2, 0.5, 0.5])), mode=mode,
+                      feedback="state", T_sim=3, seed=0,
+                      initial_arch=ArchitectureSet((0, 1), ()), cardinality=2)
+        with pytest.raises(ValueError, match="3x3"):
+            SimulationConfig(state_R=np.eye(2), **common)
+        with pytest.raises(ValueError, match="positive definite"):
+            SimulationConfig(state_R=np.diag([1.0, 1.0, 0.0]), **common)
+        for state_R in (2.0, np.diag([1.0, 2.0, 3.0])):
+            tr = simulate(SimulationConfig(state_R=state_R, **common))
+            assert np.all(np.isfinite(tr.x))
+
     def test_initial_arch_pool_range(self):
         sys_ = canonical_system(np.eye(2))
         with pytest.raises(ValueError):
