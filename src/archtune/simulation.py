@@ -201,18 +201,14 @@ def _fixed_state_gain(system: LinearNetworkSystem, arch: ArchitectureSet,
     diverged policy when no stabilizing solution exists."""
     B = build_input_matrix(system, arch)
     Rb = input_cost_block(R, arch.actuators)
-    P = solve_dare(system.A, B, Q, Rb)
+    P = value = solve_dare(system.A, B, Q, Rb)
     if isinstance(P, Diverged):
         warnings.append(f"fixed architecture {arch.actuators} has no stabilizing "
                         f"solution; using {policy} fallback gain")
         if policy == "zero":
             return np.zeros((B.shape[1], system.n)), math.inf
-        P_last = last_riccati_iterate(system.A, B, Q, Rb)
-        S = Rb + B.T @ P_last @ B
-        return -np.linalg.solve(S, B.T @ P_last @ system.A), math.inf
-    S = Rb + B.T @ P @ B
-    K = -np.linalg.solve(S, B.T @ P @ system.A)
-    return K, P
+        P, value = last_riccati_iterate(system.A, B, Q, Rb), math.inf
+    return -np.linalg.solve(Rb + B.T @ P @ B, B.T @ P @ system.A), value
 
 
 class _StateFeedback:

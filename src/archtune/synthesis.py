@@ -7,6 +7,9 @@ actuators the gain has zero rows and the state penalty propagates open loop;
 with no sensors the filter gain has zero columns and the covariance grows by
 A E A' + W.  factored_lqr and factored_kalman run the same recursions for
 stacks of candidate sets as low-rank corrections to shared open-loop ones.
+solve_dare has one path to the stationary solution: stacked doubling, then
+value iteration for each candidate the doubling leaves unsettled.  It needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._lin import check_psd, check_symmetric, mT, symmetrize
 
@@ -234,42 +236,40 @@ def factored_lqr(A: np.ndarray, Q: np.ndarray, Q_T: np.ndarray, W: np.ndarray,
     return price
 
 
-def _dare_fixed_point(A, B, Q, R, tol, max_iter, guard):
-    """Value iteration from P = Q.  Returns (last P, converged flag)."""
+def _dare_fixed_point(A, B, Q, R):
+    """Value iteration from P = Q until the Frobenius step drops below
+    DARE_TOL.  Returns (last P within DARE_GUARD, converged flag); it has not
+    converged past the guard or after DARE_MAX_ITER steps."""
     P = np.asarray(Q, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         _, P_next = riccati_step(A, B, Q, R, P, check=False)
-        if np.linalg.norm(P_next, "fro") > guard:
+        if np.linalg.norm(P_next, "fro") > DARE_GUARD:
             return P, False
-        if np.linalg.norm(P_next - P, "fro") < tol:
+        if np.linalg.norm(P_next - P, "fro") < DARE_TOL:
             return P_next, True
         P = P_next
     return P, False
 
 
-def last_riccati_iterate(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
-                         tol: float = DARE_TOL, max_iter: int = DARE_MAX_ITER,
-                         guard: float = DARE_GUARD) -> np.ndarray:
+def last_riccati_iterate(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
+                         R: np.ndarray) -> np.ndarray:
     """The last value-iteration iterate from P = Q that stays within the guard.
 
     It is the stabilizing solution when the iteration converges.  For a set
     with no stabilizing solution it is the matrix the "last_gain" fallback
     policy prices its gain with.
     """
-    return _dare_fixed_point(A, B, Q, R, tol, max_iter, guard)[0]
+    return _dare_fixed_point(A, B, Q, R)[0]
 
 
 def _dare_residuals(A, Bs, Q, Rs, Ps) -> np.ndarray:
     """Relative Riccati residuals ||F(P) - P|| / (1 + ||P||) over a stack."""
-    PB = Ps @ Bs
-    G = np.swapaxes(PB, 1, 2) @ A                       # B'PA
-    K = np.linalg.solve(Rs + np.swapaxes(Bs, 1, 2) @ PB, G)
-    mapped = A.T @ Ps @ A - np.swapaxes(G, 1, 2) @ K + Q
+    _, mapped = riccati_step(A, Bs, Q, Rs, Ps, check=False)
     return (np.linalg.norm(mapped - Ps, axis=(1, 2))
             / (1.0 + np.linalg.norm(Ps, axis=(1, 2))))
 
 
-def _dare_doubling(A, Bs, Q, Rs, guard) -> list:
+def _dare_doubling(A, Bs, Q, Rs) -> list:
     """Structure-preserving doubling over a stack of (B, R) sharing A and Q.
 
     With G = B R^-1 B' and W = I + G H, each doubling maps
@@ -278,8 +278,8 @@ def _dare_doubling(A, Bs, Q, Rs, guard) -> list:
     (Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006).  A candidate retires
     once its relative step is at most SDA_TOL.  Returns one entry per
     candidate: its solution, or None where the doubling did not settle it
-    (no convergence within SDA_MAX_ITER doublings, an iterate past the guard
-    or not finite, or a residual above DARE_RESIDUAL_TOL).
+    (no convergence within SDA_MAX_ITER doublings, an iterate past
+    DARE_GUARD or not finite, or a residual above DARE_RESIDUAL_TOL).
     """
     k, n = Bs.shape[0], A.shape[0]
     Ak = np.repeat(A[None], k, axis=0)
@@ -304,7 +304,7 @@ def _dare_doubling(A, Bs, Q, Rs, guard) -> list:
                 size = np.linalg.norm(H_next, axis=(1, 2))
                 step = np.linalg.norm(H_next - H, axis=(1, 2))
                 H = H_next
-                failed = ~(size <= guard)               # past the guard, or NaN
+                failed = ~(size <= DARE_GUARD)          # past the guard, or NaN
                 done = ~failed & (step <= SDA_TOL * size)
                 for j in np.flatnonzero(done):
                     out[active[j]] = H[j]
@@ -325,63 +325,32 @@ def _dare_doubling(A, Bs, Q, Rs, guard) -> list:
     return out
 
 
-def _dare_one(A, B, Q, R, tol, max_iter, guard, method):
-    """One candidate through scipy's dense solver ("direct"), value
-    iteration ("iterative"), or the one and then the other ("auto")."""
-    if method != "iterative" and B.shape[1] > 0:
-        try:
-            P = symmetrize(scipy.linalg.solve_discrete_are(A, B, Q, R))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            if method == "direct":
-                raise
-            P = None
-        if P is not None and np.all(np.isfinite(P)):
-            if np.linalg.norm(P, "fro") > guard:
-                return DIVERGED
-            if _dare_residuals(A, B[None], Q, R[None], P[None])[0] < DARE_RESIDUAL_TOL:
-                return P
-            if method == "direct":
-                raise np.linalg.LinAlgError("direct DARE solution failed residual check")
-        elif method == "direct":
-            return DIVERGED
-    P, converged = _dare_fixed_point(A, B, Q, R, tol, max_iter, guard)
-    return P if converged else DIVERGED
-
-
-def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
-               tol: float = DARE_TOL, max_iter: int = DARE_MAX_ITER,
-               guard: float = DARE_GUARD, method: str = "auto"):
+def solve_dare(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray):
     """Stabilizing solution of the discrete algebraic Riccati equation, or DIVERGED.
 
     B is one (n, m) input matrix with R its (m, m) input cost, or a stack of
     candidates sharing A and Q: B of shape (k, n, m) and R of shape
     (k, m, m), answered with a list of k results in stack order.
 
-    method "auto" runs the structure-preserving doubling algorithm on
-    stacked arrays, DARE_CHUNK candidates at a time.  A candidate the
-    doubling does not settle goes on alone to scipy's dense solver, and from
-    there to value iteration.  "direct" is scipy's solver alone, the
-    reference that tests compare against; it raises when scipy fails or its
-    answer misses the residual check.  "iterative" is value iteration alone,
-    from P = Q until the Frobenius step drops below tol.  Doubling and scipy
-    answers are accepted only within the overflow guard and with a relative
-    residual below DARE_RESIDUAL_TOL; value iteration declares DIVERGED past
-    the guard or after max_iter steps.
+    The structure-preserving doubling algorithm runs on stacked arrays,
+    DARE_CHUNK candidates at a time; its answers are accepted only within
+    DARE_GUARD and with a relative residual below DARE_RESIDUAL_TOL.  Each
+    candidate the doubling does not settle goes on alone to value iteration
+    from P = Q, which declares DIVERGED past the guard or after
+    DARE_MAX_ITER steps.
     """
     check_psd(Q, "Q")
-    if method not in ("auto", "direct", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     Bs, Rs, stacked = _as_stack(B, R, 2, ("B", "R"))
     check_symmetric(Rs, "R")
-    Ps: list = [None] * len(Bs)
-    if method == "auto":
-        Ps = []
-        for lo in range(0, len(Bs), DARE_CHUNK):
-            Ps += _dare_doubling(A, Bs[lo:lo + DARE_CHUNK], Q, Rs[lo:lo + DARE_CHUNK], guard)
-    Ps = [P if P is not None else _dare_one(A, B_i, Q, R_i, tol, max_iter, guard, method)
-          for P, B_i, R_i in zip(Ps, Bs, Rs)]
+    Ps = []
+    for lo in range(0, len(Bs), DARE_CHUNK):
+        Ps += _dare_doubling(A, Bs[lo:lo + DARE_CHUNK], Q, Rs[lo:lo + DARE_CHUNK])
+    for j in range(len(Ps)):
+        if Ps[j] is None:
+            P, converged = _dare_fixed_point(A, Bs[j], Q, Rs[j])
+            Ps[j] = P if converged else DIVERGED
     return Ps if stacked else Ps[0]
 
 

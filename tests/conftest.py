@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from archtune import ArchitectureSet, LinearNetworkSystem
+from archtune._lin import symmetrize
+from archtune.synthesis import DARE_GUARD, DARE_RESIDUAL_TOL, _dare_residuals
 
 
 def random_psd(rng, n, scale=1.0, ridge=0.0):
@@ -17,6 +20,16 @@ def stable_matrix(rng, n, radius=0.9):
     A = rng.standard_normal((n, n)) / np.sqrt(n)
     r = np.max(np.abs(np.linalg.eigvals(A)))
     return A * (radius / r)
+
+
+def scipy_dare(A, B, Q, R):
+    """scipy's DARE solution, symmetrized, and whether solve_dare would accept
+    it: within DARE_GUARD, with a relative residual below DARE_RESIDUAL_TOL.
+    Raises numpy's LinAlgError where scipy's solver does."""
+    P = symmetrize(scipy.linalg.solve_discrete_are(A, B, Q, R))
+    accepted = (np.linalg.norm(P) <= DARE_GUARD
+                and _dare_residuals(A, B[None], Q, R[None], P[None])[0] < DARE_RESIDUAL_TOL)
+    return P, bool(accepted)
 
 
 def canonical_system(A, W=None, v_var=0.0):

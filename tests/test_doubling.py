@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from archtune import DIVERGED, solve_dare, synthesis  # noqa: E402
-from archtune.synthesis import _dare_doubling  # noqa: E402
+from archtune.synthesis import _dare_doubling, last_riccati_iterate  # noqa: E402
 
-from conftest import random_psd, stable_matrix  # noqa: E402
+from conftest import random_psd, scipy_dare, stable_matrix  # noqa: E402
 
 
 def _candidate_stack(rng, n, m, k, unstabilizable=False):
@@ -35,7 +35,7 @@ class TestDoubling:
     def test_matches_scipy(self, seed, n, k, data):
         m = data.draw(st.integers(1, n))
         A, Bs, Q, Rs = _candidate_stack(np.random.default_rng(seed), n, m, k)
-        Ps = _dare_doubling(A, Bs, Q, Rs, synthesis.DARE_GUARD)
+        Ps = _dare_doubling(A, Bs, Q, Rs)
         for P, B, R in zip(Ps, Bs, Rs):
             assert P is not None
             ref = scipy.linalg.solve_discrete_are(A, B, Q, R)
@@ -47,21 +47,23 @@ class TestDoubling:
     def test_diverged_agrees_on_unstabilizable_pair(self, seed, n):
         A, Bs, Q, Rs = _candidate_stack(np.random.default_rng(seed), n, 1, 2,
                                         unstabilizable=True)
-        assert _dare_doubling(A, Bs, Q, Rs, synthesis.DARE_GUARD) == [None, None]
+        assert _dare_doubling(A, Bs, Q, Rs) == [None, None]
         assert solve_dare(A, Bs, Q, Rs) == [DIVERGED, DIVERGED]
         for B, R in zip(Bs, Rs):
             try:
-                direct = solve_dare(A, B, Q, R, method="direct")
+                _, accepted = scipy_dare(A, B, Q, R)
             except np.linalg.LinAlgError:
-                direct = DIVERGED
-            assert direct is DIVERGED
+                accepted = False
+            assert not accepted
 
-    def test_solution_past_the_guard_is_diverged(self):
+    def test_solution_past_the_guard_is_diverged(self, monkeypatch):
         # P = 2 + sqrt(5) for this scalar pair: past a guard of 4, within 5
         one = np.ones((1, 1))
-        assert _dare_doubling(2 * one, one[None], one, one[None], 4.0) == [None]
-        assert solve_dare(2 * one, one, one, one, guard=4.0) is DIVERGED
-        assert np.isclose(solve_dare(2 * one, one, one, one, guard=5.0)[0, 0], 2 + 5 ** 0.5)
+        monkeypatch.setattr(synthesis, "DARE_GUARD", 4.0)
+        assert _dare_doubling(2 * one, one[None], one, one[None]) == [None]
+        assert solve_dare(2 * one, one, one, one) is DIVERGED
+        monkeypatch.setattr(synthesis, "DARE_GUARD", 5.0)
+        assert np.isclose(solve_dare(2 * one, one, one, one)[0, 0], 2 + 5 ** 0.5)
 
     def test_stack_matches_single_calls_across_chunks(self, rng):
         k = synthesis.DARE_CHUNK + 5
@@ -82,9 +84,8 @@ class TestDoubling:
     def test_singular_R_left_to_the_single_path(self):
         # R = 0 with full-rank B: the doubling cannot form B R^-1 B'
         A, B, Q, R = np.array([[1.2, 0.3], [0.0, 0.5]]), np.eye(2), np.eye(2), np.zeros((2, 2))
-        assert _dare_doubling(A, B[None], Q, R[None], synthesis.DARE_GUARD) == [None]
-        assert np.allclose(solve_dare(A, B, Q, R), solve_dare(A, B, Q, R, method="iterative"),
-                           atol=1e-9)
+        assert _dare_doubling(A, B[None], Q, R[None]) == [None]
+        assert np.allclose(solve_dare(A, B, Q, R), last_riccati_iterate(A, B, Q, R), atol=1e-9)
 
     def test_stack_shape_mismatch_rejected(self, rng):
         A, Bs, Q, Rs = _candidate_stack(rng, 3, 2, 2)

@@ -32,9 +32,9 @@ from archtune.greedy import (
 )
 from archtune.network import random_network_localized, satisfies_constraints
 from archtune.simulation import SimulationConfig, simulate
-from archtune.synthesis import Diverged, lqr_backward, solve_dare
+from archtune.synthesis import lqr_backward, solve_dare
 
-from conftest import canonical_system, random_psd
+from conftest import canonical_system, random_psd, scipy_dare
 
 
 class TestChangeCount:
@@ -543,8 +543,8 @@ class TestGreedyReplay:
     candidate set with scipy's solver, at each state of a recorded run."""
 
     def test_commits_the_oracle_set_at_every_state(self):
-        # the demo network: every singleton and pair passes the direct
-        # solver's residual check, so the oracle is defined everywhere
+        # the demo network: scipy's answer for every singleton and pair passes
+        # the residual check, so the oracle is defined everywhere
         n = 20
         system = random_network_localized(
             n=n, num_unstable=2, unstable_band=(1.2, 1.4), stable_band=(0.2, 0.8),
@@ -557,15 +557,16 @@ class TestGreedyReplay:
         for k in (1, 2):
             for c in itertools.combinations(range(n), k):
                 idx = list(c)
-                oracle[c] = solve_dare(system.A, system.actuator_pool[:, idx], Q,
-                                       R[np.ix_(idx, idx)], method="direct")
+                oracle[c], accepted = scipy_dare(system.A, system.actuator_pool[:, idx], Q,
+                                                 R[np.ix_(idx, idx)])
+                assert accepted
 
         def closest_call(x):
             """Smallest relative gap between the two best x'Px of any round
             of the oracle's greedy run from x."""
             selected, gap = [], math.inf
             while len(selected) < 2:
-                costs = sorted((math.inf if isinstance(P, Diverged) else float(x @ P @ x), s)
+                costs = sorted((float(x @ P @ x), s)
                                for s in range(n) if s not in selected
                                for P in [oracle[tuple(sorted(selected + [s]))]])
                 gap = min(gap, (costs[1][0] - costs[0][0]) / abs(costs[0][0]))

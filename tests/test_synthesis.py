@@ -156,8 +156,8 @@ class TestLqrBackward:
 class TestSolveDare:
     def test_scalar_closed_form_both_methods(self):
         target = 2 + math.sqrt(5)
-        for method in ("auto", "iterative"):
-            P = solve_dare(_s(2), _s(1), _s(1), _s(1), method=method)
+        for solve in (solve_dare, last_riccati_iterate):
+            P = solve(_s(2), _s(1), _s(1), _s(1))
             assert not isinstance(P, Diverged)
             assert np.isclose(P[0, 0], target, atol=1e-8)
 
@@ -194,35 +194,20 @@ class TestSolveDare:
             B = rng.standard_normal((n, n))
             Q = np.eye(n)
             R = np.eye(n)
-            Pa = solve_dare(A, B, Q, R, method="auto")
-            Pi = solve_dare(A, B, Q, R, method="iterative")
+            Pa = solve_dare(A, B, Q, R)
+            Pi = last_riccati_iterate(A, B, Q, R)
             assert np.allclose(Pa, Pi, rtol=1e-7, atol=1e-7)
 
 
 class TestResidualAcceptance:
-    """A scipy answer off by about 1e-5 relative is no longer accepted."""
-
-    @staticmethod
-    def _perturbed_scipy(monkeypatch):
-        exact = scipy.linalg.solve_discrete_are
-
-        def off(A, B, Q, R):
-            return exact(A, B, Q, R) * (1.0 + 1e-5)
-
-        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", off)
+    """An answer off by about 1e-5 relative misses the residual gate."""
 
     def test_residual_of_the_perturbed_answer(self):
         P = scipy.linalg.solve_discrete_are(_s(2), _s(1), _s(1), _s(1)) * (1.0 + 1e-5)
         res = _dare_residuals(_s(2), _s(1)[None], _s(1), _s(1)[None], P[None])[0]
         assert DARE_RESIDUAL_TOL < res < 1e-4         # accepted before the tightening
 
-    def test_direct_raises(self, monkeypatch):
-        self._perturbed_scipy(monkeypatch)
-        with pytest.raises(np.linalg.LinAlgError, match="residual"):
-            solve_dare(_s(2), _s(1), _s(1), _s(1), method="direct")
-
     def test_auto_falls_through_to_value_iteration(self, monkeypatch):
-        self._perturbed_scipy(monkeypatch)
         monkeypatch.setattr(synthesis, "SDA_MAX_ITER", 0)   # doubling settles nothing
         P = solve_dare(_s(2), _s(1), _s(1), _s(1))
         assert np.isclose(P[0, 0], 2 + math.sqrt(5), rtol=1e-10)
