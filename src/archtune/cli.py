@@ -9,21 +9,23 @@ and seed), a plot-data JSON, and a wall-clock timing sidecar.  All
 nondeterministic content (timestamps, compute times) lives in the sidecar so
 the other files replay bit for bit.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error.
+Exit codes: 0 success, 1 validation failure (one diagnostic per malformed
+field, named by its path), 2 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +47,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_experiment",
-    "serialize_experiment",
-    "normalize_config",
     "validate_experiment",
     "build_simulation_config",
     "run_experiment",
@@ -68,6 +68,59 @@ class ConfigError(Exception):
         super().__init__(f"{path}: {message}")
         self.path = path
         self.message = message
+
+
+# ---- field access: every conversion error becomes a ConfigError ----
+
+@contextmanager
+def _at(path: str):
+    """Report a ValueError, TypeError or KeyError raised inside as a
+    ConfigError at path; a ConfigError raised inside keeps its deeper path."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(path, f"missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be an object")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _field(doc, key: str, path: str, convert=lambda v: v, default=_REQUIRED):
+    """doc[key], or the default when one is given and the key is absent,
+    passed through convert; its errors are reported at path.key."""
+    if key not in _object(doc, path) and default is _REQUIRED:
+        raise ConfigError(f"{path}.{key}", "required field missing")
+    with _at(f"{path}.{key}"):
+        return convert(doc.get(key, default))
+
+
+def _count(value) -> int:
+    """An integer; an integral float such as 50.0 passes, while a fractional
+    float or a bool is refused rather than truncated."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _count_or_none(value) -> int | None:
+    return None if value is None else _count(value)
+
+
+def _band(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+_array = partial(np.asarray, dtype=float)
 
 
 # ---- schema: defaults and normalization ----
@@ -98,39 +151,20 @@ _COST_DEFAULTS = {
 }
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}", "required field missing")
-    return doc[key]
-
-
 def _normalize_run(doc, idx: int) -> dict:
     path = f"runs[{idx}]"
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "each run must be an object")
-    out = dict(doc)
-    name = _require(doc, "name", path)
+    name = _field(doc, "name", path)
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ConfigError(f"{path}.name", "run names use [A-Za-z0-9._-] only")
     for key in ("seed", "mode", "feedback", "T_sim", "system"):
-        _require(doc, key, path)
-    for key, default in _RUN_DEFAULTS.items():
-        out.setdefault(key, copy.deepcopy(default))
+        _field(doc, key, path)
+    out = {**_RUN_DEFAULTS, **doc}
     if out["constraints"] is not None:
-        if not isinstance(out["constraints"], dict):
-            raise ConfigError(f"{path}.constraints", "must be an object")
-        c = dict(out["constraints"])
-        for key, default in _CONSTRAINT_DEFAULTS.items():
-            c.setdefault(key, default)
-        out["constraints"] = c
+        out["constraints"] = {**_CONSTRAINT_DEFAULTS,
+                              **_object(out["constraints"], f"{path}.constraints")}
     if out["costs"] is not None:
-        if not isinstance(out["costs"], dict):
-            raise ConfigError(f"{path}.costs", "must be an object")
-        c = dict(out["costs"])
-        _require(c, "horizon", f"{path}.costs")
-        for key, default in _COST_DEFAULTS.items():
-            c.setdefault(key, default)
-        out["costs"] = c
+        _field(out["costs"], "horizon", f"{path}.costs")
+        out["costs"] = {**_COST_DEFAULTS, **out["costs"]}
     return out
 
 
@@ -146,33 +180,23 @@ class ExperimentConfig:
     emit: dict
     runs: list
 
-    def to_doc(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "output_dir": self.output_dir,
-            "base_seed": self.base_seed,
-            "emit": copy.deepcopy(self.emit),
-            "runs": copy.deepcopy(self.runs),
-        }
-
 
 def parse_experiment(doc: dict) -> ExperimentConfig:
     """Normalize a raw config document; raises ConfigError on structural
     problems (semantic checks live in validate_experiment)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("$", "top level must be an object")
-    version = doc.get("schema_version", SCHEMA_VERSION)
+    version = _object(doc, "$").get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
-    name = _require(doc, "name", "$")
+    name = _field(doc, "name", "$")
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ConfigError("name", "experiment names use [A-Za-z0-9._-] only")
-    emit = {"trace": True, "summary": True, "plotdata": True}
-    emit.update(doc.get("emit", {}))
+    emit = {"trace": True, "summary": True, "plotdata": True,
+            **_object(doc.get("emit", {}), "emit")}
     for key, value in emit.items():
         if key not in ("trace", "summary", "plotdata") or not isinstance(value, bool):
             raise ConfigError(f"emit.{key}", "emit flags are booleans trace/summary/plotdata")
+    with _at("base_seed"):
+        base_seed = _count(doc.get("base_seed", 0))
     runs_doc = doc.get("runs", [])
     if not isinstance(runs_doc, list):
         raise ConfigError("runs", "must be a list")
@@ -182,176 +206,113 @@ def parse_experiment(doc: dict) -> ExperimentConfig:
         if r["name"] in seen:
             raise ConfigError(f"runs[{i}].name", f"duplicate run name {r['name']!r}")
         seen.add(r["name"])
-    return ExperimentConfig(
-        name=name,
-        output_dir=str(doc.get("output_dir", "archtune-out")),
-        base_seed=int(doc.get("base_seed", 0)),
-        emit=emit,
-        runs=runs,
-    )
-
-
-def serialize_experiment(exp: ExperimentConfig) -> str:
-    """Canonical JSON text (sorted keys, two-space indent, trailing newline)."""
-    return json.dumps(exp.to_doc(), indent=2, sort_keys=True) + "\n"
-
-
-def normalize_config(doc: dict) -> str:
-    return serialize_experiment(parse_experiment(doc))
+    return ExperimentConfig(name=name, output_dir=str(doc.get("output_dir", "archtune-out")),
+                            base_seed=base_seed, emit=emit, runs=runs)
 
 
 # ---- building runtime objects from documents ----
 
-def _as_square(value, n: int, path: str) -> np.ndarray:
-    """Scalar s means s * I_n; otherwise an n x n row-list matrix."""
-    if isinstance(value, (int, float)):
-        return float(value) * np.eye(n)
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"not a numeric matrix: {exc}") from None
-    if arr.shape != (n, n):
-        raise ConfigError(path, f"expected shape ({n},{n}), got {arr.shape}")
+def _as_array(value, shape: tuple, path: str) -> np.ndarray:
+    """A scalar s means s * I for a square shape and a constant vector for a
+    one-axis shape; anything else must be a numeric array of the shape."""
+    with _at(path):
+        if isinstance(value, (int, float)):
+            return float(value) * (np.eye(shape[0]) if len(shape) == 2 else np.ones(shape))
+        arr = _array(value)
+    if arr.shape != shape:
+        raise ConfigError(path, f"expected shape {str(shape).replace(' ', '')}, got {arr.shape}")
     return arr
 
 
-def _as_vector(value, length: int, path: str) -> np.ndarray:
-    """Scalar s means a constant vector of the given length."""
-    if isinstance(value, (int, float)):
-        return np.full(length, float(value))
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, f"not a numeric vector: {exc}") from None
-    if arr.shape != (length,):
-        raise ConfigError(path, f"expected length {length}, got shape {arr.shape}")
-    return arr
+# the required fields of each generator directive, with their converters;
+# W_scale, v_var and the localized generator's options are optional
+_GENERATOR_FIELDS = {
+    "random_network": {"n": _count, "eig_band": float, "seed": _count},
+    "random_network_localized": {"n": _count, "num_unstable": _count, "unstable_band": _band,
+                                 "stable_band": _band, "seed": _count},
+}
 
 
 def _build_system(doc, path: str) -> LinearNetworkSystem:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "system must be an object")
-    if "random_network" in doc:
-        d = doc["random_network"]
-        n = int(_require(d, "n", f"{path}.random_network"))
-        W = float(d.get("W_scale", 0.0)) * np.eye(n)
-        return random_network(n=n, eig_band=float(_require(d, "eig_band", f"{path}.random_network")),
-                              seed=int(_require(d, "seed", f"{path}.random_network")),
-                              W=W, v_var=float(d.get("v_var", 0.0)))
-    if "random_network_localized" in doc:
-        d = doc["random_network_localized"]
-        p = f"{path}.random_network_localized"
-        n = int(_require(d, "n", p))
-        W = float(d.get("W_scale", 0.0)) * np.eye(n)
-        return random_network_localized(
-            n=n, num_unstable=int(_require(d, "num_unstable", p)),
-            unstable_band=tuple(_require(d, "unstable_band", p)),
-            stable_band=tuple(_require(d, "stable_band", p)),
-            seed=int(_require(d, "seed", p)),
-            localization=float(d.get("localization", 0.2)),
-            exclude_nodes=tuple(d.get("exclude_nodes", ())),
-            W=W, v_var=float(d.get("v_var", 0.0)))
-    A = np.asarray(_require(doc, "A", path), dtype=float)
+    kind = next((k for k in _GENERATOR_FIELDS if k in _object(doc, path)), None)
+    if kind is not None:
+        d, p = doc[kind], f"{path}.{kind}"
+        kwargs = {key: _field(d, key, p, convert)
+                  for key, convert in _GENERATOR_FIELDS[kind].items()}
+        if kind == "random_network_localized":
+            kwargs.update(localization=_field(d, "localization", p, float, 0.2),
+                          exclude_nodes=_field(d, "exclude_nodes", p, tuple, ()))
+        W_scale, v_var = (_field(d, key, p, float, 0.0) for key in ("W_scale", "v_var"))
+        generate = random_network if kind == "random_network" else random_network_localized
+        with _at(p):
+            return generate(W=W_scale * np.eye(kwargs["n"]), v_var=v_var, **kwargs)
+    A = _field(doc, "A", path, _array)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigError(f"{path}.A", f"A must be square, got {A.shape}")
     n = A.shape[0]
-    act_pool = doc.get("actuator_pool")
-    act_pool = np.eye(n) if act_pool is None else np.asarray(act_pool, dtype=float)
-    sen_pool = doc.get("sensor_pool")
-    sen_pool = np.eye(n) if sen_pool is None else np.asarray(sen_pool, dtype=float)
-    W = _as_square(doc.get("W", 0.0), n, f"{path}.W")
-    try:
+    act_pool, sen_pool = (np.eye(n) if doc.get(key) is None else _field(doc, key, path, _array)
+                          for key in ("actuator_pool", "sensor_pool"))
+    W = _as_array(doc.get("W", 0.0), (n, n), f"{path}.W")
+    v_var = _field(doc, "v_var", path, float, 0.0)
+    with _at(path):
         return LinearNetworkSystem(A=A, actuator_pool=act_pool, sensor_pool=sen_pool,
-                                   W=W, v_var=float(doc.get("v_var", 0.0)))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+                                   W=W, v_var=v_var)
 
 
 def _build_costs(doc: dict, n: int, M: int, L: int, path: str) -> CostParameters:
-    horizon = doc["horizon"]
-    terminal = doc["terminal_cost"]
-    if terminal is None:
-        terminal = doc["state_cost"]
-    try:
-        return CostParameters(
-            state_cost=_as_square(doc["state_cost"], n, f"{path}.state_cost"),
-            input_cost=_as_square(doc["input_cost"], M, f"{path}.input_cost"),
-            terminal_cost=_as_square(terminal, n, f"{path}.terminal_cost"),
-            actuator_running=_as_vector(doc["actuator_running"], M, f"{path}.actuator_running"),
-            sensor_running=_as_vector(doc["sensor_running"], L, f"{path}.sensor_running"),
-            actuator_switching=_as_vector(doc["actuator_switching"], M, f"{path}.actuator_switching"),
-            sensor_switching=_as_vector(doc["sensor_switching"], L, f"{path}.sensor_switching"),
-            horizon=int(horizon),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    if doc["terminal_cost"] is None:
+        doc = {**doc, "terminal_cost": doc["state_cost"]}
+    shapes = {"state_cost": (n, n), "input_cost": (M, M), "terminal_cost": (n, n),
+              "actuator_running": (M,), "sensor_running": (L,),
+              "actuator_switching": (M,), "sensor_switching": (L,)}
+    with _at(path):
+        return CostParameters(**{key: _as_array(doc[key], shape, f"{path}.{key}")
+                                 for key, shape in shapes.items()},
+                              horizon=_field(doc, "horizon", path, _count))
 
 
-def build_simulation_config(run_doc: dict, base_seed: int, idx: int = 0,
-                            seed_base_override: int | None = None) -> SimulationConfig:
+# the run fields handed to SimulationConfig as they are, with their converters
+_RUN_FIELDS = {"mode": str, "feedback": str, "T_sim": _count, "seed": _count,
+               "x0_std": float, "E0_scale": float, "cardinality": _count_or_none,
+               "identify": bool, "diverged_policy": str}
+
+
+def build_simulation_config(run_doc: dict, base_seed: int, idx: int = 0) -> SimulationConfig:
     """Turn one normalized run document into a SimulationConfig.
 
-    The effective seed is (base_seed or its override) + the run's own seed,
-    so a campaign can shift every rollout at once while runs keep distinct
-    streams.
+    The effective seed is base_seed + the run's own seed, so a campaign can
+    shift every rollout at once while runs keep distinct streams.
     """
     path = f"runs[{idx}]"
     system = _build_system(run_doc["system"], f"{path}.system")
     n, M, L = system.n, system.num_actuators, system.num_sensors
-    base = base_seed if seed_base_override is None else seed_base_override
-    constraints = None
+    constraints = params = initial_arch = None
     if run_doc["constraints"] is not None:
-        c = run_doc["constraints"]
-        try:
+        c, p = run_doc["constraints"], f"{path}.constraints"
+        with _at(p):
             constraints = ArchitectureConstraints(
-                act_min=int(c["act_min"]), act_max=int(c["act_max"]),
-                sen_min=int(c["sen_min"]), sen_max=int(c["sen_max"]),
-                max_changes=c["max_changes"] if c["max_changes"] is None else int(c["max_changes"]),
-                max_per_subsequence=int(c["max_per_subsequence"]))
-        except KeyError as exc:
-            raise ConfigError(f"{path}.constraints", f"missing field {exc.args[0]!r}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{path}.constraints", str(exc)) from None
-    params = None
+                **{key: _field(c, key, p, _count)
+                   for key in ("act_min", "act_max", "sen_min", "sen_max", "max_per_subsequence")},
+                max_changes=_field(c, "max_changes", p, _count_or_none))
     if run_doc["costs"] is not None:
         params = _build_costs(run_doc["costs"], n, M, L, f"{path}.costs")
-    initial_arch = None
     if run_doc["initial_arch"] is not None:
-        a = run_doc["initial_arch"]
-        if not isinstance(a, dict):
-            raise ConfigError(f"{path}.initial_arch", "must be an object with actuators/sensors lists")
-        try:
-            initial_arch = ArchitectureSet(actuators=tuple(a.get("actuators", ())),
-                                           sensors=tuple(a.get("sensors", ())))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.initial_arch", str(exc)) from None
+        a, p = run_doc["initial_arch"], f"{path}.initial_arch"
+        with _at(p):
+            initial_arch = ArchitectureSet(actuators=_field(a, "actuators", p, tuple, ()),
+                                           sensors=_field(a, "sensors", p, tuple, ()))
     state_Q = run_doc["state_Q"]
     if state_Q is not None:
-        state_Q = _as_square(state_Q, n, f"{path}.state_Q")
+        state_Q = _as_array(state_Q, (n, n), f"{path}.state_Q")
     state_R = run_doc["state_R"]
     if not isinstance(state_R, (int, float)):
-        state_R = _as_square(state_R, M, f"{path}.state_R")
-    try:
-        return SimulationConfig(
-            system=system,
-            mode=str(run_doc["mode"]),
-            feedback=str(run_doc["feedback"]),
-            T_sim=int(run_doc["T_sim"]),
-            seed=base + int(run_doc["seed"]),
-            initial_arch=initial_arch,
-            constraints=constraints,
-            params=params,
-            x0_std=float(run_doc["x0_std"]),
-            E0_scale=float(run_doc["E0_scale"]),
-            cardinality=None if run_doc["cardinality"] is None else int(run_doc["cardinality"]),
-            state_Q=state_Q,
-            state_R=state_R,
-            identify=bool(run_doc["identify"]),
-            diverged_policy=str(run_doc["diverged_policy"]),
-            name=run_doc["name"],
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+        state_R = _as_array(state_R, (M, M), f"{path}.state_R")
+    fields = {key: _field(run_doc, key, path, convert) for key, convert in _RUN_FIELDS.items()}
+    fields["seed"] += base_seed
+    with _at(path):
+        return SimulationConfig(system=system, initial_arch=initial_arch,
+                                constraints=constraints, params=params, state_Q=state_Q,
+                                state_R=state_R, name=run_doc["name"], **fields)
 
 
 def validate_experiment(doc: dict) -> list[str]:
@@ -617,32 +578,34 @@ def preset_config(name: str) -> dict:
 
 # ---- command-line surface ----
 
-def _load_doc(source: str):
-    """A preset name or a JSON file path; returns (doc, description)."""
+def _load_valid(source: str):
+    """(doc, description, exit code) of a preset name or a JSON file path.
+    Read and parse errors and every validation diagnostic go to stderr; the
+    code is EXIT_OK only for a document that validates."""
     if source in PRESETS:
-        return preset_config(source), f"preset {source}"
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return None, source
-    try:
-        return json.loads(text), str(path)
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
-        return None, str(path)
+        doc, desc = preset_config(source), f"preset {source}"
+    else:
+        desc = str(Path(source))
+        try:
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return None, desc, EXIT_PARSE
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            print(f"parse error: {desc}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
+            return None, desc, EXIT_PARSE
+    diagnostics = validate_experiment(doc)
+    for line in diagnostics:
+        print(f"invalid: {line}", file=sys.stderr)
+    return doc, desc, EXIT_INVALID if diagnostics else EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    doc, desc = _load_doc(args.config)
-    if doc is None:
-        return EXIT_PARSE
-    diagnostics = validate_experiment(doc)
-    if diagnostics:
-        for line in diagnostics:
-            print(f"invalid: {line}", file=sys.stderr)
-        return EXIT_INVALID
+    doc, desc, code = _load_valid(args.config)
+    if code != EXIT_OK:
+        return code
     exp = parse_experiment(doc)
     summary = run_experiment(exp, output_dir=args.output_dir,
                              seed_base_override=args.seed, jobs=args.jobs)
@@ -657,16 +620,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    doc, desc = _load_doc(args.config)
-    if doc is None:
-        return EXIT_PARSE
-    diagnostics = validate_experiment(doc)
-    if diagnostics:
-        for line in diagnostics:
-            print(f"invalid: {line}", file=sys.stderr)
-        return EXIT_INVALID
-    print(f"ok: {desc} is valid")
-    return EXIT_OK
+    _, desc, code = _load_valid(args.config)
+    if code == EXIT_OK:
+        print(f"ok: {desc} is valid")
+    return code
 
 
 def _cmd_list_presets(args) -> int:

@@ -213,6 +213,8 @@ def random_network_localized(n: int, num_unstable: int,
     magnitudes, stable magnitudes, signs.  Both pools are the canonical
     basis.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not (0 <= num_unstable <= n):
         raise ValueError("num_unstable must lie in [0, n]")
     if num_unstable and not (1.0 <= unstable_band[0] <= unstable_band[1]):
@@ -225,8 +227,8 @@ def random_network_localized(n: int, num_unstable: int,
     if len(candidates) < num_unstable:
         raise ValueError("not enough candidate nodes after exclusions")
     rng = np.random.default_rng(seed)
-    nodes = np.asarray(candidates)[rng.choice(len(candidates), size=num_unstable,
-                                              replace=False)]
+    nodes = np.asarray(candidates, dtype=int)[rng.choice(len(candidates), size=num_unstable,
+                                                         replace=False)]
     U = np.eye(n)[:, nodes] + localization * rng.standard_normal((n, num_unstable)) / np.sqrt(n)
     G = rng.standard_normal((n, n - num_unstable))
     V, _ = np.linalg.qr(np.column_stack([U, G]))

@@ -44,7 +44,6 @@ from .synthesis import (
     Diverged,
     DARE_GUARD,
     estimator_update,
-    kalman_step,
     last_riccati_iterate,
     solve_dare,
 )
@@ -101,11 +100,18 @@ class SimulationConfig:
             raise ValueError(f"diverged_policy must be one of {DIVERGED_POLICIES}")
         if self.T_sim < 1:
             raise ValueError("T_sim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.x0_std < 0 or self.E0_scale < 0:
             raise ValueError("x0_std and E0_scale must be nonnegative")
         if self.feedback == "output":
             if self.constraints is None or self.params is None:
                 raise ValueError("output feedback needs constraints and cost parameters")
+            c, M, L = self.constraints, self.system.num_actuators, self.system.num_sensors
+            if c.act_max > M or c.sen_max > L:
+                # greedy_swap's own rule, and a drawn initial architecture's
+                raise ValueError(f"cardinality bounds exceed pool sizes: act_max {c.act_max} "
+                                 f"of {M} actuators, sen_max {c.sen_max} of {L} sensors")
             if self.system.v_var == 0:
                 # noiseless sensors leave C E C' as the whole innovation
                 # covariance, so E must stay positive definite at every step
@@ -307,7 +313,9 @@ class _OutputFeedback:
 
     def act(self, t: int, arch_t: ArchitectureSet):
         """(input, incurred stage cost) of step t; also measures, updates the
-        estimate and steps the error covariance, reporting its divergence once."""
+        estimate and steps the error covariance, reporting its divergence once.
+        The stepped covariance is the gain schedule's E[1], which the committed
+        architecture's Kalman forward pass already computed from this step's E."""
         system, x, x_hat, gains = self.config.system, self.x, self.x_hat, self.gains
         K0, L0 = gains.K[0], gains.L[0]
         C_t = build_output_matrix(system, arch_t)
@@ -316,8 +324,7 @@ class _OutputFeedback:
         y = C_t @ x[t] + v
         stage = true_stage_cost(x[t], x_hat[t], arch_t, gains, self.config.params)
         x_hat[t + 1] = estimator_update(system, arch_t, K0, L0, x_hat[t], y)
-        V_t = system.v_var * np.eye(C_t.shape[0])
-        _, self.E = kalman_step(system.A, C_t, system.W, V_t, self.E, check=False)
+        self.E = gains.E[1]
         E_norm = np.linalg.norm(self.E)
         if not self.E_diverged and not E_norm <= DARE_GUARD:
             self.E_diverged = True

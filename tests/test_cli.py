@@ -1,6 +1,8 @@
 """Config schema, artifact byte stability, and the command-line surface."""
 
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,9 @@ from archtune.cli import (
     PRESETS,
     build_simulation_config,
     main,
-    normalize_config,
     parse_experiment,
     preset_config,
     run_experiment,
-    serialize_experiment,
     validate_experiment,
     write_trace_csv,
 )
@@ -39,6 +39,68 @@ def minimal_doc(**overrides):
         }],
     }
     doc.update(overrides)
+    return doc
+
+
+MALFORMED_FILE = Path(__file__).parent / "data" / "malformed.json"
+
+NETWORK = {"random_network": {"n": 4, "eig_band": 0.1, "seed": 1,
+                              "W_scale": 1.0, "v_var": 1.0}}
+LOCALIZED = {"random_network_localized": {"n": 4, "num_unstable": 1, "unstable_band": [1.2, 1.4],
+                                          "stable_band": [0.2, 0.8], "seed": 1,
+                                          "W_scale": 1.0, "v_var": 1.0}}
+
+# (path the one diagnostic starts with, system replacing lqg_doc's or None,
+#  dotted location of the malformed field, its value)
+MALFORMED = [
+    ("runs[0].system.random_network", NETWORK, "runs.0.system.random_network", 5),
+    ("runs[0].system.random_network.n", NETWORK, "runs.0.system.random_network.n", "abc"),
+    ("runs[0].system.random_network", NETWORK, "runs.0.system.random_network.n", 0),
+    ("runs[0].system.random_network", NETWORK, "runs.0.system.random_network.eig_band", 1.5),
+    ("runs[0].system.random_network.W_scale", NETWORK,
+     "runs.0.system.random_network.W_scale", "x"),
+    ("runs[0].system.random_network", NETWORK, "runs.0.system.random_network.W_scale", -1),
+    ("runs[0].system.random_network_localized", LOCALIZED,
+     "runs.0.system.random_network_localized.num_unstable", 5),
+    ("runs[0].system.random_network_localized.unstable_band", LOCALIZED,
+     "runs.0.system.random_network_localized.unstable_band", 1.3),
+    ("runs[0].system.random_network_localized", LOCALIZED,
+     "runs.0.system.random_network_localized.n", 0),
+    ("runs[0].system.A", None, "runs.0.system.A", [[1.0, 0.0], [0.5]]),
+    ("runs[0].system.A", None, "runs.0.system.A", [["a", 0.0], [0.0, 1.0]]),
+    ("runs[0].T_sim", None, "runs.0.T_sim", None),
+    ("runs[0].x0_std", None, "runs.0.x0_std", None),
+    ("runs[0].costs.horizon", None, "runs.0.costs.horizon", None),
+    ("runs[0].constraints.act_min", None, "runs.0.constraints.act_min", None),
+    ("runs[0].initial_arch.actuators", None, "runs.0.initial_arch",
+     {"actuators": None, "sensors": [0]}),
+    ("base_seed", None, "base_seed", "x"),
+    ("emit", None, "emit", [1]),
+    # counts are integers, not truncated floats or bools
+    ("runs[0].T_sim", None, "runs.0.T_sim", 2.5),
+    ("runs[0].T_sim", None, "runs.0.T_sim", True),
+    ("runs[0].costs.horizon", None, "runs.0.costs.horizon", 2.5),
+    ("runs[0].constraints.max_changes", None, "runs.0.constraints.max_changes", 1.5),
+    ("runs[0].system.random_network.seed", NETWORK, "runs.0.system.random_network.seed", 1.5),
+    # accepted before, then failed in the rollout: bounds past the pools
+    # (greedy_swap at step 0, or the initial draw) and a negative seed
+    ("runs[0]", None, "runs.0.constraints.act_max", 3),
+    ("runs[0]", None, "runs.0.constraints.sen_max", 3),
+    ("runs[0]", None, "runs.0.constraints", {"act_min": 3, "act_max": 3,
+                                              "sen_min": 1, "sen_max": 1}),
+    ("runs[0]", None, "runs.0.seed", -3),
+]
+
+
+def malformed_doc(system, where, value):
+    doc = lqg_doc()
+    if system is not None:
+        doc["runs"][0]["system"] = copy.deepcopy(system)
+    *parents, last = [int(k) if k.isdigit() else k for k in where.split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
     return doc
 
 
@@ -80,11 +142,6 @@ class TestParseNormalize:
         assert run["constraints"]["max_per_subsequence"] == 1
         assert run["costs"]["state_cost"] == 1.0
         assert run["costs"]["terminal_cost"] is None
-
-    def test_normalize_idempotent(self):
-        text = normalize_config(lqg_doc())
-        again = serialize_experiment(parse_experiment(json.loads(text)))
-        assert again == text
 
     def test_schema_version_gate(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -154,6 +211,26 @@ class TestValidateExperiment:
         assert len(diags) == 1
         assert diags[0].startswith("runs[0]: state_R is not positive definite")
 
+    @pytest.mark.parametrize("prefix,system,where,value", MALFORMED,
+                             ids=[f"{w}={v!r}" for _, _, w, v in MALFORMED])
+    def test_malformed_field_named_by_path(self, prefix, system, where, value, tmp_path,
+                                           capsys):
+        doc = malformed_doc(system, where, value)
+        diags = validate_experiment(doc)
+        assert len(diags) == 1 and diags[0].startswith(f"{prefix}: "), diags
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"invalid: {diags[0]}\n"
+
+    def test_integral_float_counts_accepted(self):
+        doc = lqg_doc(T_sim=6.0)
+        doc["runs"][0]["costs"]["horizon"] = 3.0
+        assert validate_experiment(doc) == []
+        cfg = build_simulation_config(parse_experiment(doc).runs[0], 0)
+        assert (cfg.T_sim, cfg.params.horizon) == (6, 3)
+        assert type(cfg.T_sim) is int
+
     def test_structural_error_reported_once(self):
         diags = validate_experiment({"name": "x", "runs": "nope"})
         assert diags == ["runs: must be a list"]
@@ -180,9 +257,6 @@ class TestBuildSimulationConfig:
         exp = parse_experiment(minimal_doc(base_seed=5))
         cfg = build_simulation_config(exp.runs[0], exp.base_seed)
         assert cfg.seed == 6
-        cfg2 = build_simulation_config(exp.runs[0], exp.base_seed,
-                                       seed_base_override=100)
-        assert cfg2.seed == 101
 
     def test_scalar_shorthands_expand(self):
         exp = parse_experiment(lqg_doc())
@@ -331,6 +405,13 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "invalid:" in err
         assert "runs[0].costs" in err
+
+    def test_checked_in_malformed_config_exits_1(self, capsys):
+        assert main(["validate", str(MALFORMED_FILE)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("invalid: runs[0].system.random_network: "
+                       "eig_band must lie in [0, 1)\n")
+        assert "Traceback" not in err
 
     def test_parse_error_exits_2_with_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

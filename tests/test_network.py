@@ -195,6 +195,14 @@ class TestRandomNetworkLocalized:
                 # concentrated: dominant node carries most of the mass
                 assert np.abs(V[dominant, i]) > 0.7
 
+    def test_every_node_excluded_without_unstable_modes(self):
+        sys_ = random_network_localized(n=2, num_unstable=0, unstable_band=(1.2, 1.4),
+                                        stable_band=(0.2, 0.8), seed=1, exclude_nodes=(0, 1))
+        assert np.all(np.abs(np.linalg.eigvalsh(sys_.A)) < 1.0)
+        with pytest.raises(ValueError, match="n must be"):
+            random_network_localized(n=0, num_unstable=0, unstable_band=(1.2, 1.4),
+                                     stable_band=(0.2, 0.8), seed=1)
+
     def test_determinism(self):
         kw = dict(n=15, num_unstable=2, unstable_band=(1.1, 1.3),
                   stable_band=(0.3, 0.9), seed=4)

@@ -123,6 +123,20 @@ class TestConfigValidation:
                              initial_arch=ArchitectureSet((0, 1), (0,)),
                              constraints=cons)
 
+    @pytest.mark.parametrize("mode", ["fixed", "self_tuning"])
+    def test_output_bounds_within_pools(self, mode):
+        # a bound past its pool used to pass here and fail later: in greedy_swap
+        # at step 0, or in the initial draw when a minimum passes the pool too
+        for bounds in ((1, 3, 1, 2), (1, 2, 1, 3), (3, 3, 1, 1)):
+            cons = ArchitectureConstraints(*bounds, max_changes=None, max_per_subsequence=1)
+            with pytest.raises(ValueError, match="exceed pool sizes"):
+                lqg_config(mode, constraints=cons)
+        lqg_config(mode, constraints=ArchitectureConstraints(2, 2, 2, 2))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            lqr_fixed_config(ArchitectureSet((0,), ()), seed=-1)
+
     def test_noiseless_sensors_need_definite_covariances(self):
         base = lqg_config("fixed", initial_arch=ArchitectureSet((0,), (0,)))
         noiseless = canonical_system(base.system.A, W=np.zeros((2, 2)), v_var=0.0)
