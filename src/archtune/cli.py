@@ -111,6 +111,17 @@ def _count(value) -> int:
     return int(value)
 
 
+def _indices(doc, key: str, path: str) -> tuple[int, ...]:
+    """The optional list doc[key] of device indices, each a _count whose
+    errors are reported at path.key[j]."""
+    items = _field(doc, key, path, tuple, ())
+    out = []
+    for j, value in enumerate(items):
+        with _at(f"{path}.{key}[{j}]"):
+            out.append(_count(value))
+    return tuple(out)
+
+
 def _count_or_none(value) -> int | None:
     return None if value is None else _count(value)
 
@@ -299,8 +310,8 @@ def build_simulation_config(run_doc: dict, base_seed: int, idx: int = 0) -> Simu
     if run_doc["initial_arch"] is not None:
         a, p = run_doc["initial_arch"], f"{path}.initial_arch"
         with _at(p):
-            initial_arch = ArchitectureSet(actuators=_field(a, "actuators", p, tuple, ()),
-                                           sensors=_field(a, "sensors", p, tuple, ()))
+            initial_arch = ArchitectureSet(actuators=_indices(a, "actuators", p),
+                                           sensors=_indices(a, "sensors", p))
     state_Q = run_doc["state_Q"]
     if state_Q is not None:
         state_Q = _as_array(state_Q, (n, n), f"{path}.state_Q")
@@ -578,10 +589,11 @@ def preset_config(name: str) -> dict:
 
 # ---- command-line surface ----
 
-def _load_valid(source: str):
-    """(doc, description, exit code) of a preset name or a JSON file path.
-    Read and parse errors and every validation diagnostic go to stderr; the
-    code is EXIT_OK only for a document that validates."""
+def _load_valid(source: str, base_seed: int | None = None):
+    """(doc, description, exit code) of a preset name or a JSON file path,
+    with base_seed, when given, replacing the document's.  Read and parse
+    errors and every validation diagnostic go to stderr; the code is EXIT_OK
+    only for a document that validates."""
     if source in PRESETS:
         doc, desc = preset_config(source), f"preset {source}"
     else:
@@ -596,6 +608,8 @@ def _load_valid(source: str):
         except json.JSONDecodeError as exc:
             print(f"parse error: {desc}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
             return None, desc, EXIT_PARSE
+    if base_seed is not None and isinstance(doc, dict):
+        doc = {**doc, "base_seed": base_seed}
     diagnostics = validate_experiment(doc)
     for line in diagnostics:
         print(f"invalid: {line}", file=sys.stderr)
@@ -603,12 +617,11 @@ def _load_valid(source: str):
 
 
 def _cmd_run(args) -> int:
-    doc, desc, code = _load_valid(args.config)
+    doc, desc, code = _load_valid(args.config, base_seed=args.seed)
     if code != EXIT_OK:
         return code
     exp = parse_experiment(doc)
-    summary = run_experiment(exp, output_dir=args.output_dir,
-                             seed_base_override=args.seed, jobs=args.jobs)
+    summary = run_experiment(exp, output_dir=args.output_dir, jobs=args.jobs)
     out = Path(args.output_dir if args.output_dir is not None else exp.output_dir)
     print(f"campaign {exp.name} ({desc}): {summary['num_runs']} run(s) -> {out}")
     for rec in summary["runs"]:

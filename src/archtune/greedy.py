@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._lin import check_psd, mT
-from .costs import (CostParameters, input_cost_block, ledger_entry, running_cost,
-                    switching_cost, synthesize_gains)
+from ._lin import check_psd
+from .costs import CostParameters, input_cost_block, ledger_entry, synthesize_gains
 from .network import (ArchitectureConstraints, ArchitectureSet, LinearNetworkSystem,
                       satisfies_constraints)
 from .synthesis import Diverged, factored_kalman, factored_lqr, solve_dare
@@ -65,16 +64,7 @@ def apply_choice(arch: ArchitectureSet, choice: Choice) -> ArchitectureSet:
     """Return the architecture with the choice applied (no_update is identity)."""
     if choice.kind == "no_update":
         return arch
-    acts, sens = list(arch.actuators), list(arch.sensors)
-    if choice.kind == "add_actuator":
-        acts.append(choice.index)
-    elif choice.kind == "remove_actuator":
-        acts.remove(choice.index)
-    elif choice.kind == "add_sensor":
-        sens.append(choice.index)
-    elif choice.kind == "remove_sensor":
-        sens.remove(choice.index)
-    return ArchitectureSet(actuators=acts, sensors=sens)
+    return ArchitectureSet(*_moved(arch, choice))
 
 
 def change_count(s1, s2) -> int:
@@ -183,8 +173,31 @@ def rejection_choices(arch: ArchitectureSet, constraints: ArchitectureConstraint
     return choices
 
 
+def _cross_terms(K: np.ndarray, S: np.ndarray, Ys: list, l: int) -> np.ndarray:
+    """sum_tau tr(G_tau Z_tau) = sum_tau <S_tau K_tau Phi_tau, K_tau Lam_tau>_F
+    for q architectures, from the factors Ys (see factored_kalman).
+
+    Either the q share a sensor set and an actuator-set size m: K (T, q m, n)
+    stacks their gains row-wise, S is (q, T, m, m) and Ys holds the one
+    factor, so each tau costs one GEMM; or they share an actuator set: K is
+    (T, m, n), S (1, T, m, m) and Ys holds their q factors, whose blocks tau
+    are stacked one tau at a time.
+    """
+    q, m = max(len(S), len(Ys)), S.shape[-1]
+    out = np.zeros(q)
+    if m == 0 or l == 0:
+        return out
+    for tau in range(1, len(K)):
+        lo, w = l * tau * (tau - 1), l * tau
+        blocks = np.stack([Y[:, lo:lo + 2 * w] for Y in Ys])            # [Phi, Lam]
+        P = (K[tau] @ blocks).reshape(q, m, 2 * w)
+        out += np.einsum("kij,kij->k", S[:, tau] @ P[:, :, :w], P[:, :, w:])
+    return out
+
+
 def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
-    """Metric for greedy_swap: prices a whole choice list at once.
+    """Metric for greedy_swap: prices a whole list of (actuators, sensors)
+    index-tuple pairs at once.
 
     The LQR side depends only on the actuator set and the Kalman side only
     on the sensor set.  Before a list is priced, its uncached actuator sets
@@ -192,7 +205,7 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
     recursion; its uncached sensor sets likewise run one stacked
     factored_kalman recursion per size.  Both recursions are low-rank
     corrections to open-loop ones computed once per swap call.  The caches,
-    and the priced architectures, last for the duration of one swap call.
+    and the priced pairs, last for the duration of one swap call.
 
     The predicted cost is computed in its completion-of-squares form
     J = x_hat' P_0 x_hat + sum tr(P_{tau+1} W) + sum tr(G_tau Sig_tau),
@@ -202,76 +215,126 @@ def _swap_metric_factory(system, arch_init, x_hat, E_t, params):
     algebraically identical to pricing the augmented closed loop from the
     doubled estimate.  With Sig_tau = Gam_tau - Z_tau - Z_tau' (Gam_tau the
     injected covariance when no sensor is active) it splits into a
-    per-actuator-set part (G and the cost c of the set without sensors), a
-    per-sensor-set part (Z), and one inner product per architecture:
-    J = c - 2 sum tr(G_tau Z_tau).
+    per-actuator-set part (K, S and the cost c of the set without sensors),
+    a per-sensor-set part (the factors Phi, Lam of Z = Phi Lam') and one
+    cross term per architecture, J = c - 2 sum tr(G_tau Z_tau), priced from
+    the factors by _cross_terms: neither G nor Z is formed.  Uncached pairs
+    sharing a sensor set and an actuator-set size are priced together; the
+    rest are priced in groups sharing an actuator set.  The running and
+    switching costs are cached per set as float64 parts, added as
+    running_cost and switching_cost add them.
 
-    Returns evaluate, mapping a list of architectures to their
-    (total, predicted) pairs, total = predicted + running + switching.
+    Returns evaluate, mapping a list of pairs to their (total, predicted)
+    floats, total = predicted + running + switching.
     """
     price_lqr = factored_lqr(system.A, params.state_cost, params.terminal_cost,
                              system.W, x_hat, params.horizon)
     price_kalman = factored_kalman(system.A, system.W, E_t, params.horizon)
-    lqr_cache: dict[tuple, tuple] = {}
-    kal_cache: dict[tuple, np.ndarray] = {}
-    full_cache: dict[tuple, tuple] = {}
+    lqr_cache: dict[tuple, tuple] = {}      # actuators -> (K, S, c, running, switching)
+    kal_cache: dict[tuple, tuple] = {}      # sensors -> (Y, running, switching)
+    full_cache: dict[tuple, tuple] = {}     # (actuators, sensors) -> (total, predicted)
 
-    def by_size(sets, cache) -> dict[int, list[tuple]]:
-        """The uncached sets, deduplicated and grouped by size."""
-        groups: dict[int, dict[tuple, None]] = {}
-        for s in sets:
-            if s not in cache:
-                groups.setdefault(len(s), {})[s] = None
-        return {size: list(group) for size, group in groups.items()}
+    def device_costs(running, switching, prev):
+        """Running and switching part of one set of one device kind."""
+        prev_on = np.zeros(len(switching))
+        prev_on[list(prev)] = 1.0
+
+        def parts(s: tuple):
+            on = np.zeros(len(switching))
+            on[list(s)] = 1.0
+            return running[list(s)].sum(), np.abs(on - prev_on) @ switching
+        return parts
+
+    act_costs = device_costs(params.actuator_running, params.actuator_switching,
+                             arch_init.actuators)
+    sen_costs = device_costs(params.sensor_running, params.sensor_switching,
+                             arch_init.sensors)
 
     def fill_lqr(sets: list[tuple], m: int) -> None:
         idx = np.array(sets, dtype=int).reshape(len(sets), m)
         Bs = np.ascontiguousarray(np.moveaxis(system.actuator_pool[:, idx], 1, 0))
-        K, S, base = price_lqr(Bs, input_cost_block(params.input_cost, idx))
-        G = mT(K) @ S @ K                               # K_tau' S_tau K_tau
+        K, S, c = price_lqr(Bs, input_cost_block(params.input_cost, idx))
         for j, acts in enumerate(sets):
-            lqr_cache[acts] = (G[j], float(base[j]))
+            lqr_cache[acts] = (K[j], S[j], float(c[j])) + act_costs(acts)
 
     def fill_kalman(sets: list[tuple], l: int) -> None:
         idx = np.array(sets, dtype=int).reshape(len(sets), l)
         Vs = np.broadcast_to(system.v_var * np.eye(l), (len(sets), l, l))
-        _, Z = price_kalman(system.sensor_pool[idx], Vs)
+        _, Y = price_kalman(system.sensor_pool[idx], Vs)
         for j, sens in enumerate(sets):
-            kal_cache[sens] = Z[j]
+            kal_cache[sens] = (Y[j],) + sen_costs(sens)
 
-    def evaluate(archs: list[ArchitectureSet]) -> list[tuple]:
-        for m, sets in by_size((a.actuators for a in archs), lqr_cache).items():
+    def store(pairs: list[tuple], cross: np.ndarray) -> None:
+        for pair, x in zip(pairs, cross):
+            _, _, c, ra, sa = lqr_cache[pair[0]]
+            _, rs, ss = kal_cache[pair[1]]
+            predicted = c - 2.0 * float(x)
+            full_cache[pair] = (predicted + float(ra + rs) + float(sa + ss), predicted)
+
+    def grouped(items, key) -> dict:
+        """The distinct items, in first-seen order, grouped by key."""
+        groups: dict = {}
+        for item in dict.fromkeys(items):
+            groups.setdefault(key(item), []).append(item)
+        return groups
+
+    def evaluate(pairs: list[tuple]) -> list[tuple]:
+        for m, sets in grouped((a for a, _ in pairs if a not in lqr_cache), len).items():
             fill_lqr(sets, m)
-        for l, sets in by_size((a.sensors for a in archs), kal_cache).items():
+        for l, sets in grouped((s for _, s in pairs if s not in kal_cache), len).items():
             fill_kalman(sets, l)
-        results = []
-        for arch in archs:
-            key = (arch.actuators, arch.sensors)
-            hit = full_cache.get(key)
-            if hit is None:
-                G, base = lqr_cache[arch.actuators]
-                # tr(G (Z + Z')) = 2 tr(G Z), G being symmetric
-                predicted = base - 2.0 * float(np.vdot(G, kal_cache[arch.sensors]))
-                total = (predicted + running_cost(arch, params)
-                         + switching_cost(arch, arch_init, params))
-                hit = full_cache[key] = (total, predicted)
-            results.append(hit)
-        return results
+        new = (p for p in pairs if p not in full_cache)
+        rest = []
+        for (sens, _), group in grouped(new, lambda p: (p[1], len(p[0]))).items():
+            if len(group) == 1:
+                rest += group
+                continue
+            K = np.stack([lqr_cache[a][0] for a, _ in group], axis=1)   # (T, q, m, n)
+            S = np.stack([lqr_cache[a][1] for a, _ in group])
+            store(group, _cross_terms(K.reshape(len(K), -1, K.shape[3]), S,
+                                      [kal_cache[sens][0]], len(sens)))
+        for (acts, l), group in grouped(rest, lambda p: (p[0], len(p[1]))).items():
+            K, S = lqr_cache[acts][:2]
+            store(group, _cross_terms(K, S[None], [kal_cache[s][0] for _, s in group], l))
+        return [full_cache[p] for p in pairs]
 
     return evaluate
 
 
+def _added(s: tuple, i: int) -> tuple:
+    k = bisect(s, i)
+    return s[:k] + (i,) + s[k:]
+
+
+def _removed(s: tuple, i: int) -> tuple:
+    k = s.index(i)
+    return s[:k] + s[k + 1:]
+
+
+# the side of the (actuators, sensors) pair each kind of move changes, and how
+_MOVES = {"add_actuator": (0, _added), "remove_actuator": (0, _removed),
+          "add_sensor": (1, _added), "remove_sensor": (1, _removed)}
+
+
+def _moved(arch: ArchitectureSet, choice: Choice) -> tuple[tuple, tuple]:
+    """(actuators, sensors) of arch with the choice applied, both sorted."""
+    pair = [arch.actuators, arch.sensors]
+    if choice.kind != "no_update":
+        side, move = _MOVES[choice.kind]
+        pair[side] = move(pair[side], choice.index)
+    return pair[0], pair[1]
+
+
 def _pick_choice(evaluate, arch: ArchitectureSet, choices: list[Choice]):
-    """Argmin over a choice list, priced in one evaluate call; returns the
-    choice and its architecture.  The first minimizer wins except that an
-    exact cost tie involving no-update resolves to no-update."""
-    cands = [apply_choice(arch, ch) for ch in choices]
+    """Argmin over a choice list, priced as index-tuple pairs in one
+    evaluate call; returns the choice and its architecture, the only one
+    built.  The first minimizer wins except that an exact cost tie
+    involving no-update resolves to no-update."""
     best = None
-    for ch, cand, (total, _) in zip(choices, cands, evaluate(cands)):
-        if (best is None or total < best[2]
-                or (total == best[2] and ch.kind == "no_update")):
-            best = (ch, cand, total)
-    return best[0], best[1]
+    for ch, (total, _) in zip(choices, evaluate([_moved(arch, ch) for ch in choices])):
+        if best is None or total < best[1] or (total == best[1] and ch.kind == "no_update"):
+            best = (ch, total)
+    return best[0], apply_choice(arch, best[0])
 
 
 def _forced_subsequence(evaluate, rule, arch: ArchitectureSet,
@@ -331,7 +394,7 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
         n_count = arch_change_count(arch_init, current)
     if not satisfies_constraints(current, constraints):
         raise AssertionError("swap returned an infeasible architecture")
-    _, predicted = evaluate([current])[0]
+    _, predicted = evaluate([(current.actuators, current.sensors)])[0]
     return (current, ledger_entry(predicted, current, arch_init, params),
             synthesize_gains(system, current, E_t, params))
 

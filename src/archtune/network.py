@@ -9,6 +9,7 @@ matrix C actually wired into the loop.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,7 +31,9 @@ __all__ = [
 
 
 def _sorted_index_tuple(indices: Iterable[int], kind: str) -> tuple[int, ...]:
-    idx = tuple(sorted(int(i) for i in indices))
+    """The indices as sorted Python ints; a float such as 0.7 is refused
+    rather than truncated."""
+    idx = tuple(sorted(operator.index(i) for i in indices))
     if any(i < 0 for i in idx):
         raise ValueError(f"{kind} indices must be nonnegative, got {idx}")
     if len(set(idx)) != len(idx):

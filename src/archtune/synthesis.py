@@ -6,7 +6,8 @@ K = (B'PB + R)^{-1} B'PA.  Empty architectures degenerate cleanly: with no
 actuators the gain has zero rows and the state penalty propagates open loop;
 with no sensors the filter gain has zero columns and the covariance grows by
 A E A' + W.  factored_lqr and factored_kalman run the same recursions for
-stacks of candidate sets as low-rank corrections to shared open-loop ones.
+stacks of candidate sets as low-rank corrections to shared open-loop ones;
+they return gains, weights and factors, never dense n x n stacks per set.
 solve_dare has one path to the stationary solution: stacked doubling, then
 value iteration for each candidate the doubling leaves unsettled.  It needs
 numpy only.
@@ -432,8 +433,13 @@ def factored_kalman(A: np.ndarray, W: np.ndarray, E_0: np.ndarray, T: int):
 
     price(C, V) takes a stack of k sets, C of shape (k, l, n) and V of shape
     (k, l, l), and returns L (k, T, n, l), the gains of kalman_forward, and
-    Z (k, T, n, n) with Z_tau = Phi_tau Lam_tau', so that
-    Sig_tau = Gam_tau - Z_tau - Z_tau'.
+    the factors Y (k, n, l T(T-1)) laid out as
+        Y = [Phi_1, Lam_1, Phi_2, Lam_2, ..., Phi_{T-1}, Lam_{T-1}],
+    Phi_tau and Lam_tau each l tau columns wide, so that block tau starts at
+    column l tau (tau - 1) and Sig_tau = Gam_tau - Z_tau - Z_tau' with
+    Z_tau = Phi_tau Lam_tau' (Z_0 = 0).  Each step writes A times the
+    previous block and the new columns straight into the next block; no Z
+    is formed.
     """
     if T < 1:
         raise ValueError("horizon must be >= 1")
@@ -450,10 +456,9 @@ def factored_kalman(A: np.ndarray, W: np.ndarray, E_0: np.ndarray, T: int):
         CT = mT(Cs)
         L = np.empty((k, T, n, l))
         S = np.empty((k, T, l, l))
-        Z = np.empty((k, T, n, n))
-        Lam = Phi = np.empty((k, n, 0))
+        Y = np.empty((k, n, l * T * (T - 1)))
+        Lam = Phi = Y[:, :, :0]
         for tau in range(T):
-            np.matmul(Phi, mT(Lam), out=Z[:, tau])
             LamC = mT(Lam) @ CT
             M = E0[tau] @ CT - Lam @ _blockdiag_times(S[:, :tau], LamC)   # E_tau C'
             S[:, tau] = Cs @ M + Vs
@@ -461,9 +466,13 @@ def factored_kalman(A: np.ndarray, W: np.ndarray, E_0: np.ndarray, T: int):
             if tau < T - 1:
                 N = Gam[tau] @ CT - Phi @ LamC - Lam @ (mT(Phi) @ CT)   # Sig_tau C'
                 X = N - 0.5 * (Lt @ (Cs @ N + Vs))
-                Phi = A @ np.concatenate([Phi, X], axis=2)
-                Lam = A @ np.concatenate([Lam, Lt], axis=2)
-        return L, Z
+                lo, w = l * tau * (tau + 1), l * (tau + 1)     # block tau + 1
+                blocks = Y[:, :, lo:lo + w], Y[:, :, lo + w:lo + 2 * w]
+                for old, new, out in zip((Phi, Lam), (X, Lt), blocks):
+                    np.matmul(A, old, out=out[:, :, :w - l])
+                    np.matmul(A, new, out=out[:, :, w - l:])
+                Phi, Lam = blocks
+        return L, Y
 
     return price
 

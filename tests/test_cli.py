@@ -18,6 +18,7 @@ from archtune.cli import (
     validate_experiment,
     write_trace_csv,
 )
+from archtune.network import ArchitectureSet
 from archtune.simulation import simulate
 
 
@@ -89,6 +90,11 @@ MALFORMED = [
     ("runs[0]", None, "runs.0.constraints", {"act_min": 3, "act_max": 3,
                                               "sen_min": 1, "sen_max": 1}),
     ("runs[0]", None, "runs.0.seed", -3),
+    # device indices are integers too: 0.7 ran as index 0 before
+    ("runs[0].initial_arch.actuators[0]", None, "runs.0.initial_arch",
+     {"actuators": [0.7, 1], "sensors": [0]}),
+    ("runs[0].initial_arch.sensors[1]", None, "runs.0.initial_arch",
+     {"actuators": [0], "sensors": [0, True]}),
 ]
 
 
@@ -230,6 +236,14 @@ class TestValidateExperiment:
         cfg = build_simulation_config(parse_experiment(doc).runs[0], 0)
         assert (cfg.T_sim, cfg.params.horizon) == (6, 3)
         assert type(cfg.T_sim) is int
+
+    def test_integral_float_indices_accepted(self):
+        doc = lqg_doc()
+        doc["runs"][0]["initial_arch"] = {"actuators": [1.0], "sensors": [0.0, 1]}
+        assert validate_experiment(doc) == []
+        arch = build_simulation_config(parse_experiment(doc).runs[0], 0).initial_arch
+        assert arch == ArchitectureSet(actuators=(1,), sensors=(0, 1))
+        assert all(type(i) is int for i in arch.actuators + arch.sensors)
 
     def test_structural_error_reported_once(self):
         diags = validate_experiment({"name": "x", "runs": "nope"})
@@ -410,7 +424,9 @@ class TestCommandLine:
         assert main(["validate", str(MALFORMED_FILE)]) == 1
         err = capsys.readouterr().err
         assert err == ("invalid: runs[0].system.random_network: "
-                       "eig_band must lie in [0, 1)\n")
+                       "eig_band must lie in [0, 1)\n"
+                       "invalid: runs[1].initial_arch.actuators[0]: "
+                       "expected an integer, got 0.7\n")
         assert "Traceback" not in err
 
     def test_parse_error_exits_2_with_position(self, tmp_path, capsys):
@@ -449,6 +465,16 @@ class TestCommandLine:
         assert "campaign lqgmini" in out
         assert "tuned" in out
         assert (tmp_path / "out" / "tuned.trace.csv").exists()
+
+    def test_run_validates_with_the_seed_flag(self, tmp_path, capsys):
+        # the run's own seed is 1, so a base of -5 makes it negative; this
+        # used to pass validation and die in the run with a traceback
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(minimal_doc()))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "o"),
+                     "--seed", "-5"]) == 1
+        assert capsys.readouterr().err == "invalid: runs[0]: seed must be >= 0\n"
+        assert not (tmp_path / "o").exists()
 
     def test_run_with_seed_flag(self, tmp_path, capsys):
         path = tmp_path / "c.json"

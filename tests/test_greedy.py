@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from archtune.network import random_network_localized, satisfies_constraints
 from archtune.simulation import SimulationConfig, simulate
 from archtune.synthesis import lqr_backward, solve_dare
 
-from conftest import canonical_system, random_psd, scipy_dare
+from conftest import canonical_system, random_psd, scipy_dare, stable_matrix
 
 
 class TestChangeCount:
@@ -406,11 +408,80 @@ class TestSwapMetric:
         x_hat = 2.0 * rng.standard_normal(n)
         E_t = random_psd(rng, n, ridge=0.2)
         evaluate = _swap_metric_factory(system, archs[0], x_hat, E_t, params)
-        for arch, (total, predicted) in zip(archs, evaluate(archs)):
+        pairs = [(a.actuators, a.sensors) for a in archs]
+        for arch, (total, predicted) in zip(archs, evaluate(pairs)):
             dense, _ = predicted_cost(system, arch, x_hat, E_t, params)
             assert predicted == pytest.approx(dense, rel=1e-12, abs=0.0)
             assert total == (predicted + running_cost(arch, params)
                              + switching_cost(arch, archs[0], params))
+
+    # lists of (actuators, sensors) pairs the batching must price exactly:
+    # (n, M, L, horizon, pairs)
+    EDGE_LISTS = {
+        # bounds of 0: no actuator or no sensor, alone and together
+        "empty_sets": (4, 3, 3, 4, [((), (0, 1)), ((0, 2), ()), ((), ()), ((1,), (2,)),
+                                    ((0, 1, 2), ()), ((), (0, 1, 2)), ((0,), ()),
+                                    ((1, 2), ()), ((), (1, 2))]),
+        # no cross term at all: Y has no columns
+        "horizon_1": (4, 3, 3, 1, [((0,), (0,)), ((1,), (0,)), ((0, 1), (0,)),
+                                   ((0,), (1, 2)), ((2,), (1, 2)), ((), (1,))]),
+        # pairs sharing a sensor set with actuator sets of two sizes, pairs
+        # sharing an actuator set with sensor sets of two sizes, singletons
+        "mixed_sizes": (5, 4, 4, 5, [((0,), (1, 2)), ((0, 3), (1, 2)), ((1,), (1, 2)),
+                                     ((1, 2, 3), (1, 2)), ((0, 3), (0,)), ((0, 3), (0, 1, 3)),
+                                     ((0, 3), (3,)), ((0, 3), (0, 2, 3)), ((2,), (0, 1, 2, 3)),
+                                     ((0, 1, 2, 3), (1,)), ((0,), (1, 2))]),
+        # l tau > n: the factors are wider than the state
+        "wide_factors": (3, 3, 4, 5, [((0,), (0, 1, 2)), ((1,), (0, 1, 2)), ((0, 1), (0, 1, 2)),
+                                      ((0, 1), (0, 1, 2, 3)), ((0, 1), (1, 2, 3)),
+                                      ((2,), (0, 1, 2, 3))]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_LISTS))
+    def test_edge_lists_match_dense_predicted_cost(self, case):
+        n, M, L, T, pairs = self.EDGE_LISTS[case]
+        rng = np.random.default_rng(len(pairs))
+        system = LinearNetworkSystem(
+            A=rng.standard_normal((n, n)) / np.sqrt(n), W=random_psd(rng, n),
+            actuator_pool=rng.standard_normal((n, M)),
+            sensor_pool=rng.standard_normal((L, n)), v_var=0.3)
+        params = uniform_cost_parameters(n, M, L, horizon=T, input_weight=0.8)
+        params = replace(params, actuator_running=rng.random(M), sensor_running=rng.random(L),
+                         actuator_switching=rng.random(M), sensor_switching=rng.random(L))
+        init = ArchitectureSet(actuators=(0, 1), sensors=(1,))
+        x_hat, E_t = 2.0 * rng.standard_normal(n), random_psd(rng, n, ridge=0.2)
+        evaluate = _swap_metric_factory(system, init, x_hat, E_t, params)
+        for (acts, sens), (total, predicted) in zip(pairs, evaluate(pairs), strict=True):
+            arch = ArchitectureSet(actuators=acts, sensors=sens)
+            dense, _ = predicted_cost(system, arch, x_hat, E_t, params)
+            assert predicted == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert total == (predicted + running_cost(arch, params)
+                             + switching_cost(arch, init, params))
+
+    def test_prices_without_dense_stacks(self):
+        # 50 nodes, horizon 10, pools of 5 actuators and 5 sensors: a dense
+        # G_tau = K_tau' S_tau K_tau stack for the k actuator sets of the
+        # list's additions alone takes k T n^2 8 bytes
+        n, T = 50, 10
+        rng = np.random.default_rng(7)
+        system = LinearNetworkSystem(
+            A=stable_matrix(rng, n, radius=1.1), W=np.eye(n),
+            actuator_pool=rng.standard_normal((n, 5)),
+            sensor_pool=rng.standard_normal((5, n)), v_var=1.0)
+        params = uniform_cost_parameters(n, 5, 5, horizon=T, running=1.0, switching=1.0)
+        arch = ArchitectureSet(actuators=(0,), sensors=(0,))
+        choices = selection_choices(arch, ArchitectureConstraints(1, 3, 1, 3), 5, 5)
+        pairs = [(a.actuators, a.sensors) for a in (apply_choice(arch, ch) for ch in choices)]
+        k = len({acts for acts, _ in pairs if len(acts) == 2})
+        assert k == 4
+        evaluate = _swap_metric_factory(system, arch, rng.standard_normal(n), np.eye(n), params)
+        tracemalloc.start()
+        try:
+            evaluate(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * T * n * n * 8
 
     def test_repeated_lists_reuse_the_caches(self, monkeypatch):
         sys_, params, _ = _swap_instance()
@@ -433,10 +504,11 @@ class TestSwapMetric:
                             counted("kalman", greedy_mod.factored_kalman))
         archs = _feasible_archs(2, 2, ArchitectureConstraints(0, 2, 0, 2))
         evaluate = _swap_metric_factory(sys_, archs[0], np.ones(2), np.eye(2), params)
-        first = evaluate(archs)
+        pairs = [(a.actuators, a.sensors) for a in archs]
+        first = evaluate(pairs)
         # one stacked call per set size: sizes 0, 1 and 2 on each side
         assert calls == {"lqr": 3, "kalman": 3}
-        assert evaluate(archs[::-1]) == first[::-1]
+        assert evaluate(pairs[::-1]) == first[::-1]
         assert calls == {"lqr": 3, "kalman": 3}
 
 

@@ -37,6 +37,13 @@ class TestArchitectureSet:
         with pytest.raises(ValueError):
             ArchitectureSet(actuators=(-1,), sensors=())
 
+    def test_fractional_index_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            ArchitectureSet(actuators=(0.7, 1), sensors=())
+        a = ArchitectureSet(actuators=np.array([2, 0]), sensors=(np.int64(1),))
+        assert a.actuators == (0, 2) and a.sensors == (1,)
+        assert all(type(i) is int for i in a.actuators + a.sensors)
+
 
 class TestBuildMatrices:
     def test_input_column_stacking(self):

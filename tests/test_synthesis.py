@@ -483,7 +483,12 @@ class TestFactoredRecursions:
         Cs = rng.standard_normal((k, l, n))
         Vs = (np.zeros((k, l, l)) if noiseless
               else np.stack([random_psd(rng, l, ridge=0.5) for _ in range(k)]))
-        L, Z = factored_kalman(A, W, E_0, T)(Cs, Vs)
+        L, Y = factored_kalman(A, W, E_0, T)(Cs, Vs)
+        assert Y.shape == (k, n, l * T * (T - 1))
+        Z = np.zeros((k, T, n, n))                      # Z_tau = Phi_tau Lam_tau', Z_0 = 0
+        for tau in range(1, T):
+            lo, w = l * tau * (tau - 1), l * tau
+            Z[:, tau] = Y[:, :, lo:lo + w] @ Y[:, :, lo + w:lo + 2 * w].swapaxes(1, 2)
         dense = kalman_forward(A, Cs, W, Vs, E_0, T)
         _close(L, np.stack(dense.L, axis=1))
         _close(_open_loop_injected(A, W, T) - Z - Z.swapaxes(2, 3),
