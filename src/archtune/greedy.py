@@ -366,9 +366,11 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
     selection_choices, then one over rejection_choices that prunes back
     within the base bounds; each accepts at most 2 N' changes
     (arch_change_count against the subsequence entry).  The outer loop ends
-    when a full pass makes no net change or the total change budget 2 N is
-    reached (max_changes None = unbounded).  Returns (architecture, its
-    ledger entry, its gain schedule from synthesize_gains).
+    when the total change budget 2 N is reached (max_changes None =
+    unbounded) or a pass ends where it or an earlier pass of the call began:
+    with no net change, or on a cycle the passes would repeat for ever.
+    Returns (architecture, its ledger entry, its gain schedule from
+    synthesize_gains).
     """
     M, Lp = system.num_actuators, system.num_sensors
     if constraints.act_max > M or constraints.sen_max > Lp:
@@ -384,13 +386,16 @@ def greedy_swap(system: LinearNetworkSystem, arch_init: ArchitectureSet,
 
     current = arch_init
     n_count = 0
+    # A pass is a function of its start alone (costs are cached for the
+    # call), so a pass that ends where an earlier one began would cycle.
+    seen = {arch_init}
     while N is None or n_count < 2 * N:
-        pass_ref = current
         for rule in (selection_choices, rejection_choices):
             current = _forced_subsequence(evaluate, rule, current, constraints, M, Lp,
                                           n_prime)
-        if arch_change_count(pass_ref, current) == 0:
+        if current in seen:
             break
+        seen.add(current)
         n_count = arch_change_count(arch_init, current)
     if not satisfies_constraints(current, constraints):
         raise AssertionError("swap returned an infeasible architecture")

@@ -43,6 +43,7 @@ DARE_RESIDUAL_TOL = 1e-8     # relative residual every accepted solution meets
 DARE_CHUNK = 16              # candidates per stacked doubling solve
 SDA_TOL = 1e-13              # relative step at which a doubling iterate has converged
 SDA_MAX_ITER = 64            # doublings, i.e. up to 2**64 value-iteration steps
+SDA_RANK_MAX = 16            # widest factor of G = U U' a doubling still works on
 
 
 class Diverged:
@@ -270,37 +271,69 @@ def _dare_residuals(A, Bs, Q, Rs, Ps) -> np.ndarray:
             / (1.0 + np.linalg.norm(Ps, axis=(1, 2))))
 
 
+def _cholesky_or_none(R: np.ndarray):
+    """Cholesky factor of R, or None where R is not positive definite."""
+    try:
+        return np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _dare_doubling(A, Bs, Q, Rs) -> list:
     """Structure-preserving doubling over a stack of (B, R) sharing A and Q.
 
     With G = B R^-1 B' and W = I + G H, each doubling maps
     A <- A W^-1 A,  G <- G + A W^-1 G A',  H <- H + A' H W^-1 A
     from (A, G, Q); H converges quadratically to the stabilizing solution
-    (Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006).  A candidate retires
-    once its relative step is at most SDA_TOL.  Returns one entry per
-    candidate: its solution, or None where the doubling did not settle it
-    (no convergence within SDA_MAX_ITER doublings, an iterate past
-    DARE_GUARD or not finite, or a residual above DARE_RESIDUAL_TOL).
+    (Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006).
+
+    G starts as U U' with U = B chol(R)^-T, of rank m, and each doubling at
+    most doubles its rank.  While the factor width r is at most
+    SDA_RANK_MAX and below n, G stays factored (as in the large-scale
+    doubling of Li, Chu, Lin & Weng, J. Comput. Appl. Math. 237, 2013):
+    with the r x r capacitance M = (I + U'HU)^-1 = F F', Woodbury gives
+    W^-1 A = A - U M U'H A and A W^-1 G A' = (A U F)(A U F)', so U grows by
+    the columns A U F and no n x n matrix is inverted.  Past that width G is
+    formed once and the doubling goes on dense.  Wider factors lose
+    accuracy (see the README).
+
+    A candidate retires once its relative step is at most SDA_TOL.  Returns
+    one entry per candidate: its solution, or None where the doubling did
+    not settle it (R not positive definite, no convergence within
+    SDA_MAX_ITER doublings, an iterate past DARE_GUARD or not finite, or a
+    residual above DARE_RESIDUAL_TOL).
     """
     k, n = Bs.shape[0], A.shape[0]
-    Ak = np.repeat(A[None], k, axis=0)
-    H = np.repeat(Q[None], k, axis=0)
-    active = np.arange(k)
     out: list = [None] * k
+    chol = [_cholesky_or_none(R) for R in Rs]
+    active = np.array([j for j in range(k) if chol[j] is not None], dtype=int)
+    if not len(active):
+        return out
+    # while factored, G holds U = B L^-T (R = L L'), with G = U U'
+    G = mT(np.linalg.solve(np.stack([chol[j] for j in active]), mT(Bs[active])))
+    factored = True
+    Ak = np.repeat(A[None], len(active), axis=0)
+    H = np.repeat(Q[None], len(active), axis=0)
     eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            G = Bs @ np.linalg.solve(Rs, np.swapaxes(Bs, 1, 2))
             for _ in range(SDA_MAX_ITER):
-                # one inverse and products beat a solve with 2n right-hand
-                # sides on small stacked matrices
-                W_inv = np.linalg.inv(eye + G @ H)
-                AkT = np.swapaxes(Ak, 1, 2)
-                X = W_inv @ Ak
-                H_next = H + (AkT @ H) @ X
-                H_next = 0.5 * (H_next + np.swapaxes(H_next, 1, 2))
-                G = G + Ak @ (W_inv @ G) @ AkT
-                G = 0.5 * (G + np.swapaxes(G, 1, 2))
+                AkT = mT(Ak)
+                if factored and G.shape[2] > min(SDA_RANK_MAX, n - 1):
+                    factored, G = False, G @ mT(G)
+                if factored:
+                    HU = H @ G
+                    C = np.linalg.cholesky(np.eye(G.shape[2]) + mT(G) @ HU)
+                    F = mT(np.linalg.inv(C))            # F F' = (I + U'HU)^-1
+                    X = Ak - G @ (F @ (mT(F) @ (mT(HU) @ Ak)))
+                    G = np.concatenate([G, Ak @ G @ F], axis=2)
+                else:
+                    # one inverse and products beat a solve with 2n right-hand
+                    # sides on small stacked matrices
+                    W_inv = np.linalg.inv(eye + G @ H)
+                    X = W_inv @ Ak
+                    G = symmetrize(G + Ak @ (W_inv @ G) @ AkT)
+                H_next = symmetrize(H + (AkT @ H) @ X)
                 Ak = Ak @ X
                 size = np.linalg.norm(H_next, axis=(1, 2))
                 step = np.linalg.norm(H_next - H, axis=(1, 2))
@@ -315,7 +348,7 @@ def _dare_doubling(A, Bs, Q, Rs) -> list:
                 if not keep.all():
                     Ak, G, H, active = Ak[keep], G[keep], H[keep], active[keep]
         except np.linalg.LinAlgError:
-            pass                    # a singular R or W: the rest stays unsettled
+            pass                    # W or I + U'HU singular: the rest stays unsettled
     settled = [j for j in range(k) if out[j] is not None]
     if settled:
         res = _dare_residuals(A, Bs[settled], Q, Rs[settled],
